@@ -149,18 +149,29 @@ NodeStatus NodeStatus::unpack(Unpacker& u) {
 }
 
 void WatchNotify::pack(Packer& p) const {
-  p.u64(watcher_id);
+  p.u32(static_cast<std::uint32_t>(watcher_ids.size()));
+  for (const std::uint64_t id : watcher_ids) p.u64(id);
   p.u8(event_type);
   p.str(bucket);
   p.str(key);
+  p.u8(state);
 }
 
 WatchNotify WatchNotify::unpack(Unpacker& u) {
   WatchNotify m;
-  m.watcher_id = u.u64();
+  const std::uint32_t targets = u.u32();
+  // Bound the count by the bytes present before reserving, so a corrupt
+  // count cannot drive an allocation.
+  if (targets > u.remaining() / 8) {
+    throw CodecError("WatchNotify: target count " + std::to_string(targets) +
+                     " exceeds payload");
+  }
+  m.watcher_ids.reserve(targets);
+  for (std::uint32_t i = 0; i < targets; ++i) m.watcher_ids.push_back(u.u64());
   m.event_type = u.u8();
   m.bucket = u.str();
   m.key = u.str();
+  m.state = u.u8();
   u.expect_done();
   return m;
 }

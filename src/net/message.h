@@ -27,7 +27,7 @@
 namespace hoh::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x484F4831;  // "HOH1"
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on one payload; a length field above this is corruption,
 /// not a big message (the largest real payload is a unit document).
@@ -175,14 +175,19 @@ struct NodeStatus {
   static NodeStatus unpack(Unpacker& u);
 };
 
-/// Store -> watcher: one watch delivery (event_type is a
-/// pilot::WatchEventType).
+/// Store -> watchers: one mutation's watch delivery, fanned out to
+/// every target in list order (registration order). event_type is a
+/// pilot::WatchEventType; state is the unit document's
+/// pilot::UnitState after the mutation, or kNoState (queue pushes,
+/// documents without a lifecycle state).
 struct WatchNotify {
   static constexpr MsgType kType = MsgType::kWatchNotify;
-  std::uint64_t watcher_id = 0;
+  static constexpr std::uint8_t kNoState = 0xff;
+  std::vector<std::uint64_t> watcher_ids;
   std::uint8_t event_type = 0;
   std::string bucket;
   std::string key;
+  std::uint8_t state = kNoState;
 
   void pack(Packer& p) const;
   static WatchNotify unpack(Unpacker& u);

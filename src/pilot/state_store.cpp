@@ -21,6 +21,15 @@ std::uint64_t bucket_hash(const std::string& bucket) {
   return h;
 }
 
+/// A "unit" document's lifecycle state, parsed once at put time.
+std::optional<UnitState> parse_unit_state(const std::string& collection,
+                                          const common::Json& doc) {
+  if (collection != "unit" || !doc.is_object() || !doc.contains("state")) {
+    return std::nullopt;
+  }
+  return unit_state_from_string(doc.at("state").as_string());
+}
+
 }  // namespace
 
 StateStore::StateStore(sim::Engine& engine, common::Seconds op_latency)
@@ -74,13 +83,14 @@ void StateStore::set_shard_count(std::size_t count) {
 void StateStore::put(const std::string& collection, const std::string& id,
                      common::Json document) {
   Shard& shard = shard_for(collection);
+  const std::optional<UnitState> state = parse_unit_state(collection, document);
   {
     common::MutexLock lock(shard.mu);
     ++shard.ops;
     ++shard.muts;
-    shard.collections[collection][id] = std::move(document);
+    shard.collections[collection][id] = Document{std::move(document), state};
   }
-  notify(WatchEventType::kPut, collection, id);
+  notify(WatchEventType::kPut, collection, id, state);
 }
 
 std::optional<common::Json> StateStore::get(const std::string& collection,
@@ -92,7 +102,18 @@ std::optional<common::Json> StateStore::get(const std::string& collection,
   if (cit == shard.collections.end()) return std::nullopt;
   auto dit = cit->second.find(id);
   if (dit == cit->second.end()) return std::nullopt;
-  return dit->second;
+  return dit->second.json;
+}
+
+std::optional<UnitState> StateStore::unit_state(const std::string& id) const {
+  Shard& shard = shard_for("unit");
+  common::MutexLock lock(shard.mu);
+  ++shard.ops;
+  auto cit = shard.collections.find("unit");
+  if (cit == shard.collections.end()) return std::nullopt;
+  auto dit = cit->second.find(id);
+  if (dit == cit->second.end()) return std::nullopt;
+  return dit->second.state;
 }
 
 std::optional<common::Json> StateStore::get_field(
@@ -105,15 +126,15 @@ std::optional<common::Json> StateStore::get_field(
   if (cit == shard.collections.end()) return std::nullopt;
   auto dit = cit->second.find(id);
   if (dit == cit->second.end()) return std::nullopt;
-  if (!dit->second.is_object() || !dit->second.contains(field)) {
-    return std::nullopt;
-  }
-  return dit->second.at(field);
+  const common::Json& doc = dit->second.json;
+  if (!doc.is_object() || !doc.contains(field)) return std::nullopt;
+  return doc.at(field);
 }
 
 void StateStore::update(const std::string& collection, const std::string& id,
                         const common::JsonObject& fields) {
   Shard& shard = shard_for(collection);
+  std::optional<UnitState> state;
   {
     common::MutexLock lock(shard.mu);
     ++shard.ops;
@@ -122,7 +143,7 @@ void StateStore::update(const std::string& collection, const std::string& id,
       throw common::NotFoundError("StateStore: no document " + collection +
                                   "/" + id);
     }
-    common::Json& doc = cit->second.at(id);
+    Document& doc = cit->second.at(id);
     // Lifecycle gate: the store is the single path every unit state write
     // takes (agent write-back, Unit-Manager cancellation), so an illegal
     // edge is stopped here no matter which component attempts it. Watchers
@@ -130,16 +151,18 @@ void StateStore::update(const std::string& collection, const std::string& id,
     // illegal write.
     if (collection == "unit") {
       auto state_field = fields.find("state");
-      if (state_field != fields.end() && doc.contains("state")) {
-        validate_transition(
-            unit_state_from_string(doc.at("state").as_string()),
-            unit_state_from_string(state_field->second.as_string()), id);
+      if (state_field != fields.end()) {
+        const UnitState next =
+            unit_state_from_string(state_field->second.as_string());
+        if (doc.state.has_value()) validate_transition(*doc.state, next, id);
+        doc.state = next;
       }
     }
-    for (const auto& [k, v] : fields) doc[k] = v;
+    for (const auto& [k, v] : fields) doc.json[k] = v;
     ++shard.muts;
+    state = doc.state;
   }
-  notify(WatchEventType::kUpdate, collection, id);
+  notify(WatchEventType::kUpdate, collection, id, state);
 }
 
 std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
@@ -150,7 +173,8 @@ std::vector<std::pair<std::string, common::Json>> StateStore::find_all(
   std::vector<std::pair<std::string, common::Json>> out;
   auto cit = shard.collections.find(collection);
   if (cit == shard.collections.end()) return out;
-  out.assign(cit->second.begin(), cit->second.end());
+  out.reserve(cit->second.size());
+  for (const auto& [id, doc] : cit->second) out.emplace_back(id, doc.json);
   return out;
 }
 
@@ -243,7 +267,8 @@ std::size_t StateStore::watcher_count() const {
 }
 
 void StateStore::notify(WatchEventType type, const std::string& bucket,
-                        const std::string& key) {
+                        const std::string& key,
+                        std::optional<UnitState> state) {
   // Snapshot the ids of matching watchers; resolve them again at delivery
   // time so an unwatch between mutation and delivery (or during delivery
   // of the same mutation to an earlier watcher) suppresses the callback.
@@ -264,8 +289,8 @@ void StateStore::notify(WatchEventType type, const std::string& bucket,
   bool need_schedule = false;
   {
     common::MutexLock lock(delivery_mu_);
-    pending_deliveries_.push_back(
-        PendingDelivery{std::move(targets), WatchEvent{type, bucket, key}});
+    pending_deliveries_.push_back(PendingDelivery{
+        std::move(targets), WatchEvent{type, bucket, key, state}});
     if (!delivery_scheduled_) {
       delivery_scheduled_ = true;
       need_schedule = true;
@@ -285,35 +310,39 @@ void StateStore::deliver_pending() {
     batch.swap(pending_deliveries_);
     delivery_scheduled_ = false;
   }
-  for (const PendingDelivery& delivery : batch) {
-    for (const std::uint64_t id : delivery.targets) {
-      if (transport_ != nullptr) {
-        // Message boundary (DESIGN.md §14): the fan-out crosses the
-        // transport as one WatchNotify per target; the store.notify
-        // endpoint re-resolves the watcher and runs the callback, so
-        // delivery semantics are identical in both modes.
-        net::send(*transport_, "store.notify",
-                  net::WatchNotify{
-                      id, static_cast<std::uint8_t>(delivery.event.type),
-                      delivery.event.bucket, delivery.event.key});
-      } else {
-        deliver_one(id, delivery.event);
-      }
+  for (PendingDelivery& delivery : batch) {
+    if (transport_ == nullptr) {
+      deliver(delivery.targets, delivery.event);
+      continue;
     }
+    // Message boundary (DESIGN.md §14): one WatchNotify per mutation
+    // carries every target; the store.notify endpoint re-resolves each
+    // watcher in order and runs its callback, so delivery semantics are
+    // identical in both modes.
+    const WatchEvent& event = delivery.event;
+    net::send(*transport_, "store.notify",
+              net::WatchNotify{std::move(delivery.targets),
+                               static_cast<std::uint8_t>(event.type),
+                               event.bucket, event.key,
+                               event.state.has_value()
+                                   ? static_cast<std::uint8_t>(*event.state)
+                                   : net::WatchNotify::kNoState});
   }
 }
 
-void StateStore::deliver_one(std::uint64_t watcher_id,
-                             const WatchEvent& event) {
-  Shard& shard = *shards_[(watcher_id & 0xff) % shards_.size()];
-  WatchCallback fn;
-  {
-    common::MutexLock lock(shard.mu);
-    auto it = shard.watchers.find(watcher_id);
-    if (it == shard.watchers.end()) return;
-    fn = it->second.fn;
+void StateStore::deliver(const std::vector<std::uint64_t>& watcher_ids,
+                         const WatchEvent& event) {
+  for (const std::uint64_t watcher_id : watcher_ids) {
+    Shard& shard = *shards_[(watcher_id & 0xff) % shards_.size()];
+    WatchCallback fn;
+    {
+      common::MutexLock lock(shard.mu);
+      auto it = shard.watchers.find(watcher_id);
+      if (it == shard.watchers.end()) continue;
+      fn = it->second.fn;
+    }
+    fn(event);
   }
-  fn(event);
 }
 
 void StateStore::set_transport(net::Transport* transport) {
@@ -326,9 +355,17 @@ void StateStore::set_transport(net::Transport* transport) {
   transport_->register_endpoint(
       "store.notify", [this](const net::Envelope& env) {
         const auto msg = net::open_envelope<net::WatchNotify>(env);
-        deliver_one(msg.watcher_id,
-                    WatchEvent{static_cast<WatchEventType>(msg.event_type),
-                               msg.bucket, msg.key});
+        std::optional<UnitState> state;
+        if (msg.state != net::WatchNotify::kNoState) {
+          if (msg.state > static_cast<std::uint8_t>(UnitState::kFailed)) {
+            throw net::CodecError("WatchNotify: bad unit state " +
+                                  std::to_string(msg.state));
+          }
+          state = static_cast<UnitState>(msg.state);
+        }
+        deliver(msg.watcher_ids,
+                WatchEvent{static_cast<WatchEventType>(msg.event_type),
+                           msg.bucket, msg.key, state});
         return net::make_envelope(net::Ack{});
       });
   transport_->register_endpoint(

@@ -12,6 +12,7 @@
 #include "common/json.h"
 #include "common/thread_annotations.h"
 #include "net/transport.h"
+#include "pilot/states.h"
 #include "sim/engine.h"
 
 /// \file state_store.h
@@ -37,7 +38,10 @@
 /// the single chokepoint every unit state write goes through, so
 /// update() enforces the Fig. 3 lifecycle-transition table (see
 /// pilot/transitions.h): merging an illegal "state" value into a "unit"
-/// document throws StateError instead of corrupting the lifecycle.
+/// document throws StateError instead of corrupting the lifecycle. Each
+/// "unit" document keeps its state as a typed side-field, set at
+/// put/update, so the gate and every watch event read the enum instead
+/// of re-parsing the stored string.
 ///
 /// Watch/notify (etcd/ZooKeeper-style, DESIGN.md §10): watch() registers
 /// a callback on a bucket and key prefix; every put/update/queue_push
@@ -58,11 +62,16 @@ enum class WatchEventType { kPut, kUpdate, kQueuePush };
 
 /// Delivered to watch callbacks. `bucket` is the collection name for
 /// kPut/kUpdate and the queue name for kQueuePush; `key` is the document
-/// id resp. the pushed queue element.
+/// id resp. the pushed queue element. `state` is a "unit" document's
+/// lifecycle state right after the mutation (nullopt for queue pushes
+/// and other collections) — later writes may have moved the document
+/// on by delivery time, so consumers needing the latest state read the
+/// store.
 struct WatchEvent {
   WatchEventType type;
   std::string bucket;
   std::string key;
+  std::optional<UnitState> state;
 };
 
 /// Handle for a registered watch; usable to unwatch.
@@ -100,7 +109,8 @@ class StateStore {
 
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Inserts or replaces a document.
+  /// Inserts or replaces a document. A "unit" document's "state", if
+  /// present, must name a UnitState (StateError otherwise).
   void put(const std::string& collection, const std::string& id,
            common::Json document);
 
@@ -108,11 +118,13 @@ class StateStore {
   std::optional<common::Json> get(const std::string& collection,
                                   const std::string& id) const;
 
+  /// Lifecycle state of a "unit" document (its typed side-field);
+  /// nullopt when the document or its state is absent. One op, like get().
+  std::optional<UnitState> unit_state(const std::string& id) const;
+
   /// Reads one top-level field of a document; nullopt when the document
   /// or the field is absent. Same op accounting as get(), but copies one
-  /// value instead of the whole document — the hot path for the
-  /// Unit-Manager's barrier polls, which read only "state" out of a
-  /// million unit documents (DESIGN.md §13).
+  /// value instead of the whole document.
   std::optional<common::Json> get_field(const std::string& collection,
                                         const std::string& id,
                                         const std::string& field) const;
@@ -140,8 +152,6 @@ class StateStore {
   std::uint64_t op_count() const;
 
   /// Total *mutations* (put/update/queue push/pop) — reads excluded.
-  /// A poller that saw this unchanged knows no document or queue
-  /// changed, so barrier checks can skip their rescan (DESIGN.md §13).
   std::uint64_t mutation_count() const;
 
   /// Registers a watch on \p bucket (a collection or queue name) for keys
@@ -178,6 +188,13 @@ class StateStore {
     WatchCallback fn;
   };
 
+  /// A stored document plus, for "unit" documents, its lifecycle state
+  /// (the typed copy of the "state" field).
+  struct Document {
+    common::Json json;
+    std::optional<UnitState> state;
+  };
+
   /// One lock domain: the documents, queues and watchers of every bucket
   /// hashing here. Watch ids pack (registration counter << 8) | shard
   /// index, so map order inside a shard is registration order and
@@ -186,7 +203,7 @@ class StateStore {
     mutable common::Mutex mu;
     mutable std::uint64_t ops HOH_GUARDED_BY(mu) = 0;
     std::uint64_t muts HOH_GUARDED_BY(mu) = 0;
-    std::map<std::string, std::map<std::string, common::Json>> collections
+    std::map<std::string, std::map<std::string, Document>> collections
         HOH_GUARDED_BY(mu);
     std::map<std::string, std::deque<std::string>> queues HOH_GUARDED_BY(mu);
     /// Keyed by watch id; std::map iteration = registration-order delivery.
@@ -207,14 +224,17 @@ class StateStore {
   /// the coalesced drain tick if none is pending. Called after the
   /// mutating critical section released its shard lock.
   void notify(WatchEventType type, const std::string& bucket,
-              const std::string& key);
+              const std::string& key,
+              std::optional<UnitState> state = std::nullopt);
 
   /// The drain tick: delivers every mutation queued at this instant.
   void deliver_pending();
 
-  /// Resolves one watcher id and runs its callback (the delivery step
-  /// shared by the transport endpoint and the standalone path).
-  void deliver_one(std::uint64_t watcher_id, const WatchEvent& event);
+  /// Resolves each watcher id in order and runs its callback (the
+  /// delivery step shared by the transport endpoint and the standalone
+  /// path).
+  void deliver(const std::vector<std::uint64_t>& watcher_ids,
+               const WatchEvent& event);
 
   bool in_use() const;
 

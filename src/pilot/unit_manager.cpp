@@ -22,6 +22,18 @@ std::string next_um_prefix() {
 
 }  // namespace
 
+UnitManager::UnitManager(Session& session, UnitSchedulingPolicy policy,
+                         std::shared_ptr<RuntimeEstimator> estimator)
+    : session_(session),
+      policy_(policy),
+      estimator_(estimator != nullptr
+                     ? std::move(estimator)
+                     : std::make_shared<MovingAverageEstimator>()) {
+  register_submit_endpoint();
+  unit_watch_ = session_.store().watch(
+      "unit", "", [this](const WatchEvent& event) { on_unit_event(event); });
+}
+
 void UnitManager::register_submit_endpoint() {
   submit_endpoint_ = next_um_prefix() + ".submit";
   session_.transport().register_endpoint(
@@ -35,10 +47,7 @@ void UnitManager::register_submit_endpoint() {
 }
 
 UnitState ComputeUnit::state() const {
-  const auto state =
-      manager_->session().store().get_field("unit", id_, "state");
-  if (!state.has_value()) return UnitState::kNew;
-  return unit_state_from_string(state->as_string());
+  return manager_->session().store().unit_state(id_).value_or(UnitState::kNew);
 }
 
 UnitManager::~UnitManager() {
@@ -47,14 +56,10 @@ UnitManager::~UnitManager() {
     session_.engine().cancel(dependency_check_);
     dependency_check_ = sim::EventHandle{};
   }
-  if (dep_watch_.valid()) {
-    session_.store().unwatch(dep_watch_);
-    dep_watch_ = WatchHandle{};
-  }
+  session_.store().unwatch(unit_watch_);
 }
 
 void UnitManager::add_pilot(std::shared_ptr<Pilot> pilot) {
-  recovery_dirty_ = true;
   if (pilot == nullptr) {
     throw common::ConfigError("UnitManager::add_pilot: null pilot");
   }
@@ -105,7 +110,6 @@ std::string UnitManager::pick_pilot(const ComputeUnitDescription& /*desc*/) {
       // Least predicted outstanding seconds, normalized by the pilot's
       // *live* node count so elastic resizes shift load immediately; the
       // description size stands in until the placeholder job starts.
-      reconcile();
       std::string best;
       double best_backlog = 1e300;
       for (const auto& pilot : pilots_) {
@@ -128,7 +132,6 @@ std::string UnitManager::pick_pilot(const ComputeUnitDescription& /*desc*/) {
 
 void UnitManager::enable_recovery(common::RetryPolicy policy,
                                   std::uint64_t seed) {
-  recovery_dirty_ = true;
   policy.validate();
   recovery_policy_ = policy;
   recovery_rng_ = common::Rng(seed);
@@ -150,19 +153,19 @@ void UnitManager::watch_pilot_for_recovery(
 }
 
 void UnitManager::handle_pilot_failure(const std::string& pilot_id) {
-  recovery_dirty_ = true;
   if (!recovery_enabled_) return;
-  for (const auto& unit : units_) {
-    if (unit->pilot_id() != pilot_id) continue;
-    if (unit->state() != UnitState::kFailed) continue;
-    const std::string unit_id = unit->id();
-    const int requeues = requeue_counts_[unit_id];
+  for (auto& rec : records_) {
+    const ComputeUnit& unit = *rec.unit;
+    if (unit.pilot_id() != pilot_id) continue;
+    if (unit.state() != UnitState::kFailed) continue;
+    const std::string unit_id = unit.id();
+    const int requeues = rec.requeues;
     if (requeues < 0) continue;  // already abandoned
     // Total executions = 1 original + requeues; one more must fit the
     // budget.
     if (!recovery_policy_.allows(requeues + 2)) {
       ++units_abandoned_;
-      requeue_counts_[unit_id] = -1;  // mark: budget gone, stop counting
+      rec.requeues = -1;  // mark: budget gone, stop counting
       session_.trace().record(session_.engine().now(), "recovery",
                               "unit_abandoned",
                               {{"unit", unit_id},
@@ -172,7 +175,7 @@ void UnitManager::handle_pilot_failure(const std::string& pilot_id) {
     }
     session_.trace().begin_span(session_.engine().now(), "recovery",
                                 "unit_outage", unit_id);
-    limbo_.insert(unit_id);
+    rec.limbo = true;
     const common::Seconds backoff =
         recovery_policy_.backoff_for(requeues + 1, recovery_rng_);
     session_.engine().schedule(backoff,
@@ -188,15 +191,10 @@ Pilot* UnitManager::find_live_pilot() {
 }
 
 void UnitManager::try_requeue(const std::string& unit_id) {
-  recovery_dirty_ = true;
-  auto it = by_id_.find(unit_id);
-  if (it == by_id_.end()) {
-    limbo_.erase(unit_id);
-    return;
-  }
-  auto& unit = it->second;
-  if (unit->state() != UnitState::kFailed) {  // raced with something
-    limbo_.erase(unit_id);
+  UnitRecord* rec = find_record(unit_id);
+  if (rec == nullptr) return;
+  if (rec->unit->state() != UnitState::kFailed) {  // raced with something
+    rec->limbo = false;
     return;
   }
   Pilot* target = find_live_pilot();
@@ -205,54 +203,73 @@ void UnitManager::try_requeue(const std::string& unit_id) {
     pending_requeue_.push_back(unit_id);
     return;
   }
-  const std::string from = unit->pilot_id();
-  const std::string to = target->id();
-
-  // Rebind accounting: the unit now counts against the new pilot.
-  if (bound_counts_.count(from) > 0 && bound_counts_[from] > 0) {
-    bound_counts_[from] -= 1;
-  }
-  bound_counts_[to] += 1;
-  auto pred = unit_predictions_.find(unit_id);
-  const double predicted =
-      pred != unit_predictions_.end() ? pred->second : 0.0;
-  if (unit_reconciled_.count(unit_id) == 0) {
-    // Not folded back yet: the old pilot's backlog still carries it.
-    backlog_seconds_[from] -= predicted;
-  } else {
-    // Folded back already: the unit is live again, re-open it so the
-    // next reconcile() folds the new attempt too.
-    open_units_.push_back(unit);
-  }
-  backlog_seconds_[to] += predicted;
-  unit_reconciled_.erase(unit_id);
-  unit->pilot_id_ = to;
-  requeue_counts_[unit_id] += 1;
+  rec->requeues += 1;
   ++units_requeued_;
-
-  // kFailed -> kPendingAgent is the one legal edge out of a final state
-  // (see transitions.h); then back onto a live agent queue (U.2 again).
-  session_.store().update(
-      "unit", unit_id,
-      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
-       {"pilot", common::Json(to)}});
-  session_.store().queue_push("agent." + to, unit_id);
+  const std::string from = revive(*rec, target->id());
   session_.trace().record(session_.engine().now(), "recovery",
                           "unit_requeued",
                           {{"unit", unit_id},
                            {"from", from},
-                           {"to", to},
-                           {"attempt",
-                            std::to_string(requeue_counts_[unit_id] + 1)}});
+                           {"to", target->id()},
+                           {"attempt", std::to_string(rec->requeues + 1)}});
   session_.trace().end_span(session_.engine().now(), "recovery",
                             "unit_outage", unit_id);
-  limbo_.erase(unit_id);
+  rec->limbo = false;
+}
+
+std::string UnitManager::revive(UnitRecord& rec, const std::string& to) {
+  ComputeUnit& unit = *rec.unit;
+  const std::string from = unit.pilot_id();
+  // Rebind accounting: the unit now counts against the new pilot. A
+  // prediction still in the old pilot's backlog moves with it; one
+  // already folded out comes back in when the revival is observed.
+  auto bound = bound_counts_.find(from);
+  if (bound != bound_counts_.end() && bound->second > 0) bound->second -= 1;
+  bound_counts_[to] += 1;
+  if (rec.in_backlog) {
+    backlog_seconds_[from] -= rec.predicted;
+    backlog_seconds_[to] += rec.predicted;
+  }
+  unit.pilot_id_ = to;
+
+  // kFailed -> kPendingAgent is the one legal edge out of a final state
+  // (see transitions.h); then back onto a live agent queue (U.2 again).
+  session_.store().update(
+      "unit", unit.id(),
+      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
+       {"pilot", common::Json(to)}});
+  session_.store().queue_push("agent." + to, unit.id());
+  // The record takes the manager's own write now, not at delivery: a
+  // revived unit must never read as settled in between.
+  observe(rec, UnitState::kPendingAgent);
+  return from;
+}
+
+UnitManager::UnitRecord* UnitManager::find_record(const std::string& unit_id) {
+  auto it = record_index_.find(unit_id);
+  return it == record_index_.end() ? nullptr : &records_[it->second];
+}
+
+const UnitManager::UnitRecord* UnitManager::find_record(
+    const std::string& unit_id) const {
+  auto it = record_index_.find(unit_id);
+  return it == record_index_.end() ? nullptr : &records_[it->second];
 }
 
 std::shared_ptr<ComputeUnit> UnitManager::find_unit(
     const std::string& unit_id) const {
-  auto it = by_id_.find(unit_id);
-  return it == by_id_.end() ? nullptr : it->second;
+  const UnitRecord* rec = find_record(unit_id);
+  return rec == nullptr ? nullptr : rec->unit;
+}
+
+bool UnitManager::in_limbo(const std::string& unit_id) const {
+  const UnitRecord* rec = find_record(unit_id);
+  return rec != nullptr && rec->limbo;
+}
+
+bool UnitManager::abandoned(const std::string& unit_id) const {
+  const UnitRecord* rec = find_record(unit_id);
+  return rec != nullptr && rec->requeues < 0;
 }
 
 std::shared_ptr<Pilot> UnitManager::pilot_by_id(
@@ -264,104 +281,76 @@ std::shared_ptr<Pilot> UnitManager::pilot_by_id(
 }
 
 bool UnitManager::redispatch_failed(const std::string& unit_id) {
-  recovery_dirty_ = true;
-  auto it = by_id_.find(unit_id);
-  if (it == by_id_.end()) return false;
-  auto& unit = it->second;
-  if (unit->state() != UnitState::kFailed) return false;
+  UnitRecord* rec = find_record(unit_id);
+  if (rec == nullptr) return false;
+  if (rec->unit->state() != UnitState::kFailed) return false;
   Pilot* target = find_live_pilot();
   if (target == nullptr) return false;
-  const std::string from = unit->pilot_id();
-  const std::string to = target->id();
-
-  // Rebind accounting exactly like the recovery requeue: the unit now
-  // counts against the target pilot's bindings and backlog.
-  if (bound_counts_.count(from) > 0 && bound_counts_[from] > 0) {
-    bound_counts_[from] -= 1;
-  }
-  bound_counts_[to] += 1;
-  auto pred = unit_predictions_.find(unit_id);
-  const double predicted =
-      pred != unit_predictions_.end() ? pred->second : 0.0;
-  if (unit_reconciled_.count(unit_id) == 0) {
-    backlog_seconds_[from] -= predicted;
-  } else {
-    open_units_.push_back(unit);  // live again: reconcile the new attempt
-  }
-  backlog_seconds_[to] += predicted;
-  unit_reconciled_.erase(unit_id);
-  unit->pilot_id_ = to;
-
-  session_.store().update(
-      "unit", unit_id,
-      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
-       {"pilot", common::Json(to)}});
-  session_.store().queue_push("agent." + to, unit_id);
-  session_.trace().record(session_.engine().now(), "tenant",
-                          "unit_redispatched",
-                          {{"unit", unit_id}, {"from", from}, {"to", to}});
+  const std::string from = revive(*rec, target->id());
+  session_.trace().record(
+      session_.engine().now(), "tenant", "unit_redispatched",
+      {{"unit", unit_id}, {"from", from}, {"to", target->id()}});
   return true;
 }
 
 void UnitManager::drain_pending_requeues() {
-  recovery_dirty_ = true;
   if (pending_requeue_.empty()) return;
   std::vector<std::string> waiting;
   waiting.swap(pending_requeue_);
   for (const auto& unit_id : waiting) try_requeue(unit_id);
 }
 
-void UnitManager::reconcile() {
-  // Fold the trace increment into the per-unit time maps: the trace is
-  // append-only, so every event is visited once per run, not once per
-  // finished unit. (With trace rollup enabled, unit events are not
-  // stored and the estimator simply never observes — scale runs use
-  // known durations, not predictions.)
-  const auto& events = session_.trace().events();
-  for (; trace_scan_pos_ < events.size(); ++trace_scan_pos_) {
-    const auto& e = events[trace_scan_pos_];
-    if (e.category != "unit") continue;
-    if (e.name != "Executing" && e.name != "Done") continue;
-    const auto unit_attr = e.attrs.find("unit");
-    if (unit_attr == e.attrs.end()) continue;
-    if (e.name == "Executing") {
-      exec_time_[unit_attr->second] = e.time;
-    } else {
-      done_time_[unit_attr->second] = e.time;
-    }
+void UnitManager::on_unit_event(const WatchEvent& event) {
+  if (event.state.has_value()) {
+    UnitRecord* rec = find_record(event.key);
+    if (rec != nullptr) observe(*rec, *event.state);
   }
-  std::vector<std::shared_ptr<ComputeUnit>> still_open;
-  for (const auto& unit : open_units_) {
-    if (unit_reconciled_.count(unit->id()) > 0) continue;
-    const UnitState state = unit->state();
-    if (!is_final(state)) {
-      still_open.push_back(unit);
-      continue;
-    }
-    unit_reconciled_[unit->id()] = true;
-    auto pred = unit_predictions_.find(unit->id());
-    if (pred != unit_predictions_.end()) {
-      backlog_seconds_[unit->pilot_id()] -= pred->second;
-    }
-    // Observed runtime: Executing -> Done. Entries are dropped once
-    // consumed; a later requeue re-records them.
-    const auto exec_at = exec_time_.find(unit->id());
-    const auto done_at = done_time_.find(unit->id());
-    if (state == UnitState::kDone && exec_at != exec_time_.end() &&
-        done_at != done_time_.end() && done_at->second >= exec_at->second) {
-      estimator_->observe(unit->description(),
-                          done_at->second - exec_at->second);
-    }
-    if (exec_at != exec_time_.end()) exec_time_.erase(exec_at);
-    if (done_at != done_time_.end()) done_time_.erase(done_at);
+  // Watch plane: any unit state write (agent write-back, cancellation)
+  // may resolve a dependency, so re-check on those instead of sweeping.
+  if (control_plane_ == common::ControlPlane::kWatch &&
+      event.type == WatchEventType::kUpdate && !held_.empty()) {
+    check_dependencies();
   }
-  open_units_ = std::move(still_open);
+}
+
+void UnitManager::observe(UnitRecord& rec, UnitState next) {
+  const UnitState prev = rec.state;
+  if (prev == next) return;
+  // hoh-analyze: allow-next-line(state-write) -- mirrors a gated write
+  rec.state = next;
+  const std::string& unit_id = rec.unit->id();
+  if (prev == UnitState::kFailed) failed_.erase(unit_id);
+  if (next == UnitState::kFailed) failed_.insert(unit_id);
+  if (next == UnitState::kDone) ++done_count_;
+  const common::Seconds now = session_.engine().now();
+  if (next == UnitState::kExecuting) rec.executing_at = now;
+  if (is_final(prev) == is_final(next)) return;
+  if (!is_final(next)) {  // revived (kFailed -> kPendingAgent)
+    --final_count_;
+    if (!rec.in_backlog) {
+      backlog_seconds_[rec.unit->pilot_id()] += rec.predicted;
+      rec.in_backlog = true;
+    }
+    return;
+  }
+  ++final_count_;
+  if (rec.in_backlog) {
+    backlog_seconds_[rec.unit->pilot_id()] -= rec.predicted;
+    rec.in_backlog = false;
+  }
+  // Observed runtime: the finished attempt's Executing -> Done span.
+  if (next == UnitState::kDone && rec.executing_at >= 0.0) {
+    estimator_->observe(rec.unit->description(), now - rec.executing_at);
+  }
+  rec.executing_at = -1.0;
 }
 
 std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     const std::vector<ComputeUnitDescription>& descriptions) {
   std::vector<std::shared_ptr<ComputeUnit>> out;
   out.reserve(descriptions.size());
+  records_.reserve(records_.size() + descriptions.size());
+  record_index_.reserve(records_.size() + descriptions.size());
   for (const auto& desc : descriptions) {
     if (desc.cores < 1) {
       throw common::ConfigError("ComputeUnitDescription.cores must be >= 1");
@@ -371,7 +360,14 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     bound_counts_[pilot_id] += 1;
     const double predicted = estimator_->predict(desc);
     backlog_seconds_[pilot_id] += predicted;
-    unit_predictions_[unit_id] = predicted;
+    auto handle = std::shared_ptr<ComputeUnit>(
+        new ComputeUnit(this, unit_id, pilot_id, desc));
+    record_index_.emplace(unit_id, records_.size());
+    records_.push_back(UnitRecord{handle,
+                                  desc.depends_on.empty()
+                                      ? UnitState::kPendingAgent
+                                      : UnitState::kNew,
+                                  -1.0, predicted});
 
     session_.trace().record(session_.engine().now(), "unit", "Submitted",
                             {{"unit", unit_id}, {"pilot", pilot_id}});
@@ -388,31 +384,15 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
       doc["pilot"] = pilot_id;
       session_.store().put("unit", unit_id, std::move(doc));
       held_.push_back(HeldUnit{unit_id, pilot_id, desc});
-      if (control_plane_ == common::ControlPlane::kWatch) {
-        // Watch plane: any unit-document state write (agent write-back,
-        // cancellation) may resolve a dependency, so re-check on those
-        // instead of sweeping every second.
-        if (!dep_watch_.valid()) {
-          dep_watch_ = session_.store().watch(
-              "unit", "", [this](const WatchEvent& event) {
-                if (event.type != WatchEventType::kUpdate) return;
-                if (!held_.empty()) check_dependencies();
-              });
-        }
-      } else if (!dependency_check_.valid()) {
+      // Watch plane: the unit watch re-checks (on_unit_event).
+      if (control_plane_ == common::ControlPlane::kPoll &&
+          !dependency_check_.valid()) {
         dependency_check_ = session_.engine().schedule_periodic(
             1.0, [this] { check_dependencies(); });
       }
     }
-
-    auto handle = std::shared_ptr<ComputeUnit>(
-        new ComputeUnit(this, unit_id, pilot_id, desc));
-    by_id_[unit_id] = handle;
     out.push_back(std::move(handle));
   }
-  units_.insert(units_.end(), out.begin(), out.end());
-  open_units_.insert(open_units_.end(), out.begin(), out.end());
-  unsettled_.insert(unsettled_.end(), out.begin(), out.end());
   return out;
 }
 
@@ -439,12 +419,12 @@ void UnitManager::check_dependencies() {
     bool ready = true;
     bool doomed = false;
     for (const auto& dep_id : held.desc.depends_on) {
-      auto dep = by_id_.find(dep_id);
-      if (dep == by_id_.end()) {
+      const UnitRecord* dep = find_record(dep_id);
+      if (dep == nullptr) {
         doomed = true;  // unknown dependency can never resolve
         break;
       }
-      const UnitState dep_state = dep->second->state();
+      const UnitState dep_state = dep->unit->state();
       if (dep_state == UnitState::kFailed ||
           dep_state == UnitState::kCanceled) {
         doomed = true;
@@ -468,15 +448,9 @@ void UnitManager::check_dependencies() {
     dispatch_to_agent(held.unit_id, held.pilot_id, held.desc);
   }
   held_ = std::move(still_held);
-  if (held_.empty()) {
-    if (dependency_check_.valid()) {
-      session_.engine().cancel(dependency_check_);
-      dependency_check_ = sim::EventHandle{};
-    }
-    if (dep_watch_.valid()) {
-      session_.store().unwatch(dep_watch_);
-      dep_watch_ = WatchHandle{};
-    }
+  if (held_.empty() && dependency_check_.valid()) {
+    session_.engine().cancel(dependency_check_);
+    dependency_check_ = sim::EventHandle{};
   }
 }
 
@@ -485,71 +459,32 @@ std::shared_ptr<ComputeUnit> UnitManager::submit(
   return submit(std::vector<ComputeUnitDescription>{description}).front();
 }
 
-bool UnitManager::all_done() {
-  // Barrier fast path (DESIGN.md §13): unit and pilot states live in the
-  // store, so if nothing was mutated since the last poll — and no
-  // recovery bookkeeping (limbo/abandon triage) moved either — the
-  // answer cannot have changed. Long-running waves poll every few
-  // simulated seconds while nothing happens; this makes those polls
-  // O(1) instead of O(in-flight units).
-  const std::uint64_t muts = session_.store().mutation_count();
-  if (all_done_cached_ && !recovery_dirty_ && muts == all_done_muts_) {
-    return all_done_cache_;
+bool UnitManager::all_done() const {
+  // Barrier (DESIGN.md §13): a counter comparison while any unit is
+  // unfinished; once all are final, only the kFailed records need the
+  // recovery rule.
+  if (final_count_ != records_.size()) return false;
+  for (const auto& unit_id : failed_) {
+    if (!failed_settled(*find_record(unit_id))) return false;
   }
-  reconcile();
-  const auto settled_now = [this](const std::shared_ptr<ComputeUnit>& u,
-                                  UnitState state) {
-    if (state == UnitState::kFailed && recovery_enabled_) {
-      if (limbo_.count(u->id()) > 0) {
-        return false;  // requeue in flight: not settled yet
-      }
-      // A unit that died with its pilot but has not been triaged yet
-      // (the zero-delay handle_pilot_failure event is still queued) is
-      // equally in flight: without this, a barrier polling at the exact
-      // crash instant concludes the run finished. Abandoned units
-      // (budget gone, marked -1) are settled.
-      const auto budget = requeue_counts_.find(u->id());
-      const bool abandoned =
-          budget != requeue_counts_.end() && budget->second < 0;
-      if (!abandoned) {
-        for (const auto& pilot : pilots_) {
-          if (pilot->id() == u->pilot_id() &&
-              pilot->state() == PilotState::kFailed) {
-            return false;
-          }
-        }
-      }
-    }
-    return is_final(state);
-  };
-  // Only units whose outcome is not locked in are re-read. kDone and
-  // kCanceled are sinks and leave the working set for good; kFailed
-  // stays (requeue/redispatch may cross its one legal out-edge).
-  bool all = true;
-  std::vector<std::shared_ptr<ComputeUnit>> still_unsettled;
-  for (const auto& u : unsettled_) {
-    const UnitState state = u->state();
-    if (state == UnitState::kDone || state == UnitState::kCanceled) {
-      if (state == UnitState::kDone) ++settled_done_;
-      continue;
-    }
-    still_unsettled.push_back(u);
-    if (!settled_now(u, state)) all = false;
-  }
-  unsettled_ = std::move(still_unsettled);
-  all_done_cached_ = true;
-  all_done_cache_ = all;
-  all_done_muts_ = muts;
-  recovery_dirty_ = false;
-  return all;
+  return true;
 }
 
-std::size_t UnitManager::done_count() const {
-  std::size_t n = settled_done_;
-  for (const auto& u : unsettled_) {
-    if (u->state() == UnitState::kDone) ++n;
+bool UnitManager::failed_settled(const UnitRecord& rec) const {
+  if (!recovery_enabled_) return true;
+  if (rec.limbo) return false;  // requeue in flight: not settled yet
+  // A unit that died with its pilot but has not been triaged yet (the
+  // zero-delay handle_pilot_failure event is still queued) is equally in
+  // flight: without this, a barrier polling at the exact crash instant
+  // concludes the run finished. Abandoned units are settled.
+  if (rec.requeues < 0) return true;
+  for (const auto& pilot : pilots_) {
+    if (pilot->id() == rec.unit->pilot_id() &&
+        pilot->state() == PilotState::kFailed) {
+      return false;
+    }
   }
-  return n;
+  return true;
 }
 
 }  // namespace hoh::pilot

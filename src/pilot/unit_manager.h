@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/control_plane.h"
@@ -18,8 +19,9 @@
 /// \file unit_manager.h
 /// The Unit-Manager: accepts Compute-Unit descriptions, binds them to
 /// pilots (U.1), and queues them in the shared state store for the
-/// agents to pull (U.2). State queries read the unit documents the
-/// agents write back.
+/// agents to pull (U.2). Handle state queries read the unit documents
+/// the agents write back; the barrier reads a per-unit record kept
+/// current by one store watch (DESIGN.md §13).
 
 namespace hoh::pilot {
 
@@ -63,32 +65,27 @@ enum class UnitSchedulingPolicy {
 class UnitManager {
  public:
   /// \p estimator is used by kPredictive (a MovingAverageEstimator is
-  /// created when none is supplied).
+  /// created when none is supplied). Registers the manager's "unit"
+  /// store watch, which keeps the per-unit records current on both
+  /// control planes.
   explicit UnitManager(Session& session,
                        UnitSchedulingPolicy policy =
                            UnitSchedulingPolicy::kRoundRobin,
-                       std::shared_ptr<RuntimeEstimator> estimator = nullptr)
-      : session_(session),
-        policy_(policy),
-        estimator_(estimator != nullptr
-                       ? std::move(estimator)
-                       : std::make_shared<MovingAverageEstimator>()) {
-    register_submit_endpoint();
-  }
+                       std::shared_ptr<RuntimeEstimator> estimator = nullptr);
 
   UnitManager(const UnitManager&) = delete;
   UnitManager& operator=(const UnitManager&) = delete;
 
-  /// Cancels the dependency sweep / unwatches the dependency watch. The
+  /// Cancels the dependency sweep and unwatches the unit watch. The
   /// engine and store outlive the manager, so leaving either armed would
   /// dangle `this`.
   ~UnitManager();
 
   /// Control-plane mode for dependency resolution (set before the first
   /// submit). kPoll: held units are re-checked by a 1 s periodic sweep.
-  /// kWatch: a store watch on the "unit" collection re-checks exactly
-  /// when some unit's state changed — dependency release happens at
-  /// event time and costs nothing while nothing changes.
+  /// kWatch: the unit watch re-checks exactly when some unit's state
+  /// changed — dependency release happens at event time and costs
+  /// nothing while nothing changes.
   void set_control_plane(common::ControlPlane plane) {
     control_plane_ = plane;
   }
@@ -110,11 +107,17 @@ class UnitManager {
   /// Units that exhausted their retry budget and stayed kFailed.
   std::size_t units_abandoned() const { return units_abandoned_; }
 
+  /// Recovery triage of one unit (false for unknown ids): in_limbo —
+  /// a requeue is scheduled or waits for a live pilot; abandoned — the
+  /// retry budget is gone and the unit stays kFailed.
+  bool in_limbo(const std::string& unit_id) const;
+  bool abandoned(const std::string& unit_id) const;
+
   /// Submits units (U.1/U.2). Returns handles in input order. Units with
   /// depends_on are held client-side until every dependency is Done
-  /// (released by a periodic dependency check), and canceled if a
-  /// dependency fails or is canceled. Dependencies may reference units
-  /// submitted earlier or in the same batch.
+  /// (released by the dependency check, see set_control_plane), and
+  /// canceled if a dependency fails or is canceled. Dependencies may
+  /// reference units submitted earlier or in the same batch.
   std::vector<std::shared_ptr<ComputeUnit>> submit(
       const std::vector<ComputeUnitDescription>& descriptions);
 
@@ -124,17 +127,16 @@ class UnitManager {
 
   /// True when every submitted unit reached a *settled* final state.
   /// With recovery enabled, a kFailed unit whose requeue is still
-  /// scheduled or waiting for a live pilot counts as in flight, so
-  /// barrier loops don't conclude a phase mid-recovery. Also folds
-  /// finished units into the estimator (see reconcile()).
-  bool all_done();
+  /// scheduled or waiting for a live pilot, or that died with its pilot
+  /// and is not triaged yet, counts as in flight, so barrier loops don't
+  /// conclude a phase mid-recovery. O(1) while any unit is unfinished;
+  /// otherwise O(kFailed units). Reflects every delivered watch event —
+  /// between engine run_until()/run() calls, every store write.
+  bool all_done() const;
 
-  std::size_t submitted() const { return units_.size(); }
-  std::size_t done_count() const;
-
-  /// Folds finished units back into the estimator and the per-pilot
-  /// backlog accounting. Called implicitly by all_done()/done_count().
-  void reconcile();
+  std::size_t submitted() const { return records_.size(); }
+  /// Units whose record is kDone.
+  std::size_t done_count() const { return done_count_; }
 
   RuntimeEstimator& estimator() { return *estimator_; }
   std::shared_ptr<RuntimeEstimator> estimator_ptr() { return estimator_; }
@@ -164,6 +166,20 @@ class UnitManager {
  private:
   friend class ComputeUnit;
 
+  /// One submitted unit as the manager knows it (DESIGN.md §13). The
+  /// state is the one carried by the last delivered "unit" watch event
+  /// (or the manager's own revival write), so the barrier never reads
+  /// the store.
+  struct UnitRecord {
+    std::shared_ptr<ComputeUnit> unit;  // id, pilot binding, description
+    UnitState state = UnitState::kNew;
+    common::Seconds executing_at = -1.0;  // current attempt; -1 = none
+    double predicted = 0.0;  // estimator prediction at submit
+    bool in_backlog = true;  // `predicted` counts in its pilot's backlog
+    bool limbo = false;      // kFailed, requeue scheduled or parked
+    int requeues = 0;        // -1 once the retry budget is gone
+  };
+
   std::string pick_pilot(const ComputeUnitDescription& desc);
   /// Registers submit_endpoint_ ("um<N>.submit") on the session
   /// transport; its handler unpacks the description and runs submit().
@@ -172,6 +188,24 @@ class UnitManager {
                          const std::string& pilot_id,
                          const ComputeUnitDescription& desc);
   void check_dependencies();
+
+  // --- the per-unit records ---
+  UnitRecord* find_record(const std::string& unit_id);
+  const UnitRecord* find_record(const std::string& unit_id) const;
+  /// The unit watch: applies the event's state to its record and, on
+  /// the watch plane, re-checks held dependencies.
+  void on_unit_event(const WatchEvent& event);
+  /// Moves a record to \p next and keeps the counters, the backlog and
+  /// the estimator in step: a final state folds the unit out of its
+  /// pilot's backlog (Executing -> Done also feeds the estimator), a
+  /// revival folds it back in.
+  void observe(UnitRecord& rec, UnitState next);
+  /// The barrier rule for a kFailed record (see all_done()).
+  bool failed_settled(const UnitRecord& rec) const;
+  /// Crosses kFailed -> kPendingAgent onto pilot \p to: rebinds the
+  /// pilot accounting, writes the store and the agent queue, and applies
+  /// the write to the record at once. Returns the old pilot id.
+  std::string revive(UnitRecord& rec, const std::string& to);
 
   // --- fault recovery (requeue units off a dead pilot) ---
   void watch_pilot_for_recovery(const std::shared_ptr<Pilot>& pilot);
@@ -186,32 +220,13 @@ class UnitManager {
   std::string submit_endpoint_;
   std::shared_ptr<RuntimeEstimator> estimator_;
   std::map<std::string, double> backlog_seconds_;    // pilot -> predicted
-  std::map<std::string, double> unit_predictions_;   // unit -> predicted
-  std::map<std::string, bool> unit_reconciled_;      // unit -> folded back
 
-  /// Incremental reconcile/all_done bookkeeping (DESIGN.md §13). The
-  /// trace is append-only, so reconcile() scans it once past
-  /// trace_scan_pos_ into per-unit Executing/Done time maps instead of
-  /// re-walking the whole trace per finished unit; open_units_ holds
-  /// only units not yet folded back, and unsettled_ holds units whose
-  /// terminal outcome is not yet locked in (kDone/kCanceled are sinks
-  /// and leave it; kFailed stays, since requeue/redispatch may revive
-  /// it) — a barrier poll over 1M finished units costs O(1), not
-  /// O(units) store reads.
-  std::size_t trace_scan_pos_ = 0;
-  std::map<std::string, double> exec_time_;          // unit -> Executing at
-  std::map<std::string, double> done_time_;          // unit -> Done at
-  std::vector<std::shared_ptr<ComputeUnit>> open_units_;
-  std::vector<std::shared_ptr<ComputeUnit>> unsettled_;
-  std::size_t settled_done_ = 0;  // kDone units dropped from unsettled_
-
-  /// all_done() memo: valid while the store mutation count is unchanged
-  /// and no recovery bookkeeping (which can move without a store write)
-  /// was touched — see recovery_dirty_ sites.
-  bool all_done_cached_ = false;
-  bool all_done_cache_ = false;
-  bool recovery_dirty_ = false;
-  std::uint64_t all_done_muts_ = 0;
+  std::vector<UnitRecord> records_;  // submission order
+  std::unordered_map<std::string, std::size_t> record_index_;  // id -> slot
+  std::size_t final_count_ = 0;  // records in a final state
+  std::size_t done_count_ = 0;   // records in kDone
+  std::set<std::string> failed_;  // ids of records in kFailed
+  WatchHandle unit_watch_;
 
   /// Units held back by dependencies: (unit id, pilot id, description).
   struct HeldUnit {
@@ -220,22 +235,17 @@ class UnitManager {
     ComputeUnitDescription desc;
   };
   std::vector<HeldUnit> held_;
-  std::map<std::string, std::shared_ptr<ComputeUnit>> by_id_;
-  sim::EventHandle dependency_check_;
+  sim::EventHandle dependency_check_;  // poll plane only
   common::ControlPlane control_plane_ = common::ControlPlane::kPoll;
-  WatchHandle dep_watch_;  // watch-mode replacement for dependency_check_
   std::vector<std::shared_ptr<Pilot>> pilots_;
   std::map<std::string, std::size_t> bound_counts_;  // pilot -> units
-  std::vector<std::shared_ptr<ComputeUnit>> units_;
   std::size_t rr_next_ = 0;
 
   // Fault recovery: opt-in unit requeue off failed pilots.
   bool recovery_enabled_ = false;
   common::RetryPolicy recovery_policy_;
   common::Rng recovery_rng_{42};
-  std::map<std::string, int> requeue_counts_;   // unit -> requeues done
   std::vector<std::string> pending_requeue_;    // waiting for a live pilot
-  std::set<std::string> limbo_;  // kFailed but a requeue is in flight
   std::size_t units_requeued_ = 0;
   std::size_t units_abandoned_ = 0;
 };

@@ -374,17 +374,14 @@ TEST_F(WatchStackTest, UnitManagerDestructionRetiresDependencySweep) {
     }
     // The manager is gone while its dependency machinery was still armed;
     // the engine and store must stay usable without touching freed state,
-    // and exactly the manager's own dependency watch must have retired
-    // (the agent's queue watch and the heartbeat lease remain).
+    // and exactly the manager's own unit watch must have retired on both
+    // planes (the agent's queue watch and the heartbeat lease remain).
     run_for(120.0);
     common::Json d;
     d["state"] = "PendingAgent";
     session_.store().put("unit", "poke", d);
     run_for(5.0);
-    const std::size_t expected =
-        plane == common::ControlPlane::kWatch ? watchers_with_um - 1
-                                              : watchers_with_um;
-    EXPECT_EQ(session_.store().watcher_count(), expected)
+    EXPECT_EQ(session_.store().watcher_count(), watchers_with_um - 1)
         << "mode " << common::to_string(plane);
   }
 }

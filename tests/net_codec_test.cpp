@@ -78,12 +78,25 @@ TEST(NetCodecRoundTrip, AllocatePlane) {
 }
 
 TEST(NetCodecRoundTrip, StorePlane) {
-  const auto notify =
-      wire_round_trip(WatchNotify{99, 2, "unit", "unit-000017"});
-  EXPECT_EQ(notify.watcher_id, 99u);
-  EXPECT_EQ(notify.event_type, 2);
+  // One mutation, every target watcher, the unit state after the write.
+  const auto notify = wire_round_trip(
+      WatchNotify{{99, 0x300 | 7, 0xffffffffffffff01ull}, 1, "unit",
+                  "unit-000017", 5});
+  EXPECT_EQ(notify.watcher_ids,
+            (std::vector<std::uint64_t>{99, 0x300 | 7, 0xffffffffffffff01ull}));
+  EXPECT_EQ(notify.event_type, 1);
   EXPECT_EQ(notify.bucket, "unit");
   EXPECT_EQ(notify.key, "unit-000017");
+  EXPECT_EQ(notify.state, 5);
+
+  // A queue push carries no state: the sentinel survives, as does an
+  // empty target list.
+  const auto push =
+      wire_round_trip(WatchNotify{{}, 2, "agent.pilot-1", "unit-000017"});
+  EXPECT_TRUE(push.watcher_ids.empty());
+  EXPECT_EQ(push.event_type, 2);
+  EXPECT_EQ(push.bucket, "agent.pilot-1");
+  EXPECT_EQ(push.state, WatchNotify::kNoState);
 
   StoreIngest ingest;
   ingest.collection = "unit";
@@ -236,6 +249,26 @@ TEST(NetCodecHostile, TruncatedPayloadFailsMessageUnpack) {
   Envelope longer = out;
   longer.payload.push_back(0);
   EXPECT_THROW(open_envelope<UnitAssign>(longer), CodecError);
+}
+
+TEST(NetCodecHostile, TruncatedWatchNotifyFailsUnpack) {
+  // The target list is length-prefixed: every cut of a multi-target
+  // notify, and a target count larger than the payload, must fail the
+  // unpack instead of reading or allocating past the buffer.
+  const Envelope env = make_envelope(
+      WatchNotify{{1, 2, 3}, 1, "unit", "unit-000001", 7});
+  for (std::size_t cut = 0; cut < env.payload.size(); ++cut) {
+    Envelope shorter = env;
+    shorter.payload.resize(cut);
+    EXPECT_THROW(open_envelope<WatchNotify>(shorter), CodecError) << cut;
+  }
+  Envelope longer = env;
+  longer.payload.push_back(0);
+  EXPECT_THROW(open_envelope<WatchNotify>(longer), CodecError);
+
+  Envelope huge = env;
+  huge.payload[0] = 0xff;  // target count high byte: ~4G targets
+  EXPECT_THROW(open_envelope<WatchNotify>(huge), CodecError);
 }
 
 TEST(NetCodecHostile, BadMagicRejectedBeforePayload) {

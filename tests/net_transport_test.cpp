@@ -39,7 +39,7 @@ std::vector<std::vector<std::uint8_t>> scripted_exchange(Transport& t) {
         make_envelope(NodeProbe{"node-" + std::to_string(i)}));
     replies.push_back(encode_frame(reply));
     send(t, "test.sink",
-         WatchNotify{static_cast<std::uint64_t>(i), 1, "unit",
+         WatchNotify{{static_cast<std::uint64_t>(i)}, 1, "unit",
                      "key-" + std::to_string(i)});
   }
   EXPECT_EQ(sends_seen, 20);
