@@ -9,11 +9,16 @@
 ///
 /// Usage:
 ///   scale_benchmark [--nodes N] [--tasks T] [--iterations I]
-///                   [--shards S] [--assert-min-events-per-sec X]
+///                   [--shards S] [--yarn] [--assert-min-events-per-sec X]
 ///                   [--assert-max-rss-mb Y] [--out BENCH_scale.json]
 ///
-/// CI runs the 1k-node / 100k-unit trajectory point with both gates
-/// armed; the committed BENCH_scale.json is the full keystone run.
+/// --yarn runs the paper's Mode-I YARN stack (one AM plus one task
+/// container per Compute-Unit) instead of the plain pilot, for the parity
+/// matrix and the timed cell alike.
+///
+/// CI runs the 1k-node / 100k-unit trajectory point and a 64-node / 20k-
+/// unit YARN cell with both gates armed; the committed BENCH_scale.json is
+/// the full keystone run.
 
 #include <sys/resource.h>
 
@@ -39,7 +44,7 @@ double peak_rss_mb() {
 }
 
 KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
-                                   int shards, bool rollup) {
+                                   int shards, bool rollup, bool yarn) {
   KmeansExperimentConfig cfg;
   cfg.machine = cluster::generic_profile();
   cfg.scheduler = hpc::SchedulerKind::kSlurm;
@@ -48,7 +53,7 @@ KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
   cfg.scenario.iterations = iterations;
   cfg.nodes = nodes;
   cfg.tasks = tasks;
-  cfg.yarn_stack = false;
+  cfg.yarn_stack = yarn;
   cfg.control_plane = common::ControlPlane::kWatch;
   cfg.spawn_latency = 0.001;
   cfg.store_shards = shards;
@@ -63,6 +68,7 @@ KmeansExperimentConfig cell_config(int nodes, int tasks, int iterations,
 
 int main(int argc, char** argv) {
   int nodes = 10000, tasks = 25000, iterations = 20, shards = 16;
+  bool yarn = false;
   double min_events_per_sec = 0.0, max_rss_mb = 0.0;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
@@ -76,6 +82,8 @@ int main(int argc, char** argv) {
       iterations = std::atoi(argv[++i]);
     } else if (arg == "--shards" && next) {
       shards = std::atoi(argv[++i]);
+    } else if (arg == "--yarn") {
+      yarn = true;
     } else if (arg == "--assert-min-events-per-sec" && next) {
       min_events_per_sec = std::atof(argv[++i]);
     } else if (arg == "--assert-max-rss-mb" && next) {
@@ -106,7 +114,7 @@ int main(int argc, char** argv) {
   const ParityArm arms[] = {{1, false}, {8, false}, {16, true}};
   for (const ParityArm& arm : arms) {
     const auto r = analytics::run_kmeans_experiment(
-        cell_config(100, 250, 2, arm.shards, arm.rollup));
+        cell_config(100, 250, 2, arm.shards, arm.rollup, yarn));
     if (parity_digest.empty()) parity_digest = r.output_checksum;
     const bool match = r.ok && r.output_checksum == parity_digest;
     parity_ok = parity_ok && match;
@@ -122,11 +130,11 @@ int main(int argc, char** argv) {
   // Timed cell.
   const std::size_t expected_units = static_cast<std::size_t>(tasks) * 2 *
                                      static_cast<std::size_t>(iterations);
-  std::printf("\ntimed cell: %d nodes, %zu units, %d shards\n", nodes,
-              expected_units, shards);
+  std::printf("\ntimed cell: %d nodes, %zu units, %d shards, %s stack\n",
+              nodes, expected_units, shards, yarn ? "yarn" : "plain");
   const auto t0 = std::chrono::steady_clock::now();
   const KmeansExperimentResult result = analytics::run_kmeans_experiment(
-      cell_config(nodes, tasks, iterations, shards, /*rollup=*/true));
+      cell_config(nodes, tasks, iterations, shards, /*rollup=*/true, yarn));
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(t1 - t0).count();
   const double events_per_sec =
@@ -150,7 +158,8 @@ int main(int argc, char** argv) {
     out << "{\n"
         << "  \"config\": {\"nodes\": " << nodes << ", \"tasks\": " << tasks
         << ", \"iterations\": " << iterations << ", \"units\": "
-        << expected_units << ", \"store_shards\": " << shards << "},\n"
+        << expected_units << ", \"store_shards\": " << shards
+        << ", \"yarn_stack\": " << (yarn ? "true" : "false") << "},\n"
         << "  \"parity\": {\"ok\": " << (parity_ok ? "true" : "false")
         << ", \"digest\": \"" << parity_digest << "\"},\n"
         << "  \"wall_s\": " << wall_s << ",\n"

@@ -377,6 +377,7 @@ void Agent::stop(bool fail_units) {
     set_unit_state(*unit, backlog_final);
   }
   queue_.clear();
+  queued_ = {};
   for (auto& unit : waiting_for_shared_am_) {
     set_unit_state(*unit, backlog_final);
   }
@@ -442,7 +443,7 @@ void Agent::poll_store() {
     unit->id = id;
     unit->desc = unit_from_json(doc->at("description"));
     set_unit_state(*unit, UnitState::kAgentScheduling);
-    queue_.push_back(std::move(unit));
+    enqueue(std::move(unit));
   }
   schedule_queued();
   if (!ids.empty()) {
@@ -474,21 +475,43 @@ void Agent::set_unit_state(UnitRec& unit, UnitState state) {
   }
 }
 
+void Agent::enqueue(std::shared_ptr<UnitRec> unit, bool front) {
+  if (unit->desc.is_mpi) ++queued_.mpi;
+  queued_.min_cores = std::min(queued_.min_cores, unit->desc.cores);
+  queued_.min_mb = std::min(queued_.min_mb, unit->desc.memory_mb);
+  if (front) {
+    queue_.push_front(std::move(unit));
+  } else {
+    queue_.push_back(std::move(unit));
+  }
+}
+
+void Agent::note_dequeued(const UnitRec& unit) {
+  if (unit.desc.is_mpi) --queued_.mpi;
+  if (queue_.empty()) queued_ = {};
+}
+
 void Agent::schedule_queued() {
   if (!active_) return;
-  std::deque<std::shared_ptr<UnitRec>> still_waiting;
+  std::vector<std::shared_ptr<UnitRec>> still_waiting;
   // Monotone-failure cutoff (DESIGN.md §13): within one pass capacity
   // only shrinks (dispatch allocates; releases arrive as later engine
   // events), so once an ask has failed, any later non-MPI ask needing at
   // least as many cores and as much memory must fail too and is skipped
-  // without a node scan or an RM metrics call. MPI units are always
+  // without a node scan or an RM capacity read. MPI units are always
   // tried: gang allocation can succeed where single-node placement
-  // failed.
+  // failed. When queued_ proves every unit still queued dominated, the
+  // pass ends there and the unvisited tail stays in place.
   int failed_cores = -1;
   common::MemoryMb failed_mb = 0;
   while (!queue_.empty()) {
-    auto unit = queue_.front();
+    if (failed_cores >= 0 && queued_.mpi == 0 &&
+        queued_.min_cores >= failed_cores && queued_.min_mb >= failed_mb) {
+      break;
+    }
+    auto unit = std::move(queue_.front());
     queue_.pop_front();
+    note_dequeued(*unit);
     const bool dominated = failed_cores >= 0 && !unit->desc.is_mpi &&
                            unit->desc.cores >= failed_cores &&
                            unit->desc.memory_mb >= failed_mb;
@@ -505,7 +528,10 @@ void Agent::schedule_queued() {
     }
     still_waiting.push_back(std::move(unit));
   }
-  queue_ = std::move(still_waiting);
+  // Visited units go back ahead of the tail, in their original order.
+  for (auto it = still_waiting.rbegin(); it != still_waiting.rend(); ++it) {
+    enqueue(std::move(*it), /*front=*/true);
+  }
 }
 
 void Agent::note_node_release(const cluster::Node* node) {
@@ -569,8 +595,10 @@ bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
     case AgentBackend::kYarnModeI:
     case AgentBackend::kYarnModeII: {
       // The YARN scheduler gates on *memory and cores* using the RM's
-      // REST metrics (paper SS-III-C), accounting for submissions whose
-      // containers are not visible in the metrics yet.
+      // cluster metrics (paper SS-III-C), accounting for submissions
+      // whose containers are not visible in the metrics yet. It reads
+      // the typed headroom that cluster_metrics()' availableMB reports,
+      // without the REST object's per-application scan.
       yarn::ResourceManager& rm = yarn_cluster()->resource_manager();
       const yarn::YarnConfig& ycfg = rm.config();
       const yarn::Resource cu =
@@ -579,10 +607,7 @@ bool Agent::dispatch(const std::shared_ptr<UnitRec>& unit) {
       if (!config_.reuse_yarn_app || shared_am_ == nullptr) {
         need += ycfg.normalize(config_.yarn.yarn.am_resource).memory_mb;
       }
-      const auto metrics = rm.cluster_metrics().at("clusterMetrics");
-      if (metrics.at("availableMB").as_int() - yarn_inflight_mb_ < need) {
-        return false;
-      }
+      if (rm.available().memory_mb - yarn_inflight_mb_ < need) return false;
       // Data-aware extension: steer the unit towards the node holding
       // most HDFS blocks of its first resident input.
       if (config_.data_aware_scheduling &&
@@ -1160,6 +1185,7 @@ bool Agent::preempt_unit(const std::string& unit_id) {
     if ((*it)->id != unit_id) continue;
     auto unit = *it;
     queue_.erase(it);
+    note_dequeued(*unit);
     saga_.trace().record(saga_.engine().now(), "unit", "preempted",
                          {{"unit", unit->id}, {"pilot", pilot_id_}});
     set_unit_state(*unit, UnitState::kFailed);
@@ -1248,7 +1274,7 @@ void Agent::requeue_unit(const std::shared_ptr<UnitRec>& unit) {
   saga_.trace().record(saga_.engine().now(), "unit", "preempted",
                        {{"unit", unit->id}, {"pilot", pilot_id_}});
   set_unit_state(*unit, UnitState::kAgentScheduling);
-  queue_.push_back(unit);
+  enqueue(unit);
 }
 
 void Agent::exec_spark(std::shared_ptr<UnitRec> unit) {

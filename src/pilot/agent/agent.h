@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -179,6 +180,10 @@ class Agent {
 
   // --- Scheduler (U.4/U.5) ---
   void schedule_queued();
+  /// queue_ bookkeeping: every push and pop goes through these so
+  /// queued_ stays a valid summary of the queue.
+  void enqueue(std::shared_ptr<UnitRec> unit, bool front = false);
+  void note_dequeued(const UnitRec& unit);
   bool dispatch(const std::shared_ptr<UnitRec>& unit);
   bool try_gang_allocate(UnitRec& unit);
 
@@ -242,6 +247,16 @@ class Agent {
   std::deque<std::shared_ptr<UnitRec>> waiting_for_shared_am_;
 
   std::deque<std::shared_ptr<UnitRec>> queue_;  // agent scheduler queue
+  /// What schedule_queued() knows about queue_ without walking it: the
+  /// exact number of queued MPI units, plus lower bounds on the cores
+  /// and memory of queued units. The bounds drop on every push and reset
+  /// only when the queue empties, so a stale bound is only ever too low.
+  struct QueueSummary {
+    std::size_t mpi = 0;
+    int min_cores = std::numeric_limits<int>::max();
+    common::MemoryMb min_mb = std::numeric_limits<common::MemoryMb>::max();
+  };
+  QueueSummary queued_;
   std::map<std::string, std::shared_ptr<UnitRec>> running_units_;
   /// Unit records churn once per Compute-Unit; at web scale (1M units)
   /// they come from a slab arena instead of the general-purpose heap.

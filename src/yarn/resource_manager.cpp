@@ -784,9 +784,16 @@ Resource ResourceManager::total_allocated() const {
   return total;
 }
 
+Resource ResourceManager::available() const {
+  const Resource cap = total_capacity();
+  const Resource used = total_allocated();
+  return {cap.memory_mb - used.memory_mb, cap.vcores - used.vcores};
+}
+
 common::Json ResourceManager::cluster_metrics() const {
   const Resource cap = total_capacity();
   const Resource used = total_allocated();
+  const Resource headroom = available();
   std::int64_t running = 0;
   std::int64_t submitted = 0;
   std::int64_t completed = 0;
@@ -804,9 +811,8 @@ common::Json ResourceManager::cluster_metrics() const {
   m["totalVirtualCores"] = static_cast<std::int64_t>(cap.vcores);
   m["allocatedMB"] = used.memory_mb;
   m["allocatedVirtualCores"] = static_cast<std::int64_t>(used.vcores);
-  m["availableMB"] = cap.memory_mb - used.memory_mb;
-  m["availableVirtualCores"] =
-      static_cast<std::int64_t>(cap.vcores - used.vcores);
+  m["availableMB"] = headroom.memory_mb;
+  m["availableVirtualCores"] = static_cast<std::int64_t>(headroom.vcores);
   m["activeNodes"] = static_cast<std::int64_t>(live_node_count());
   m["lostNodes"] =
       static_cast<std::int64_t>(node_managers_.size() - live_node_count());

@@ -84,7 +84,8 @@ class ResourceManager {
   /// The AM handle of a running application (for in-process callers).
   ApplicationMaster& application_master(const std::string& app_id);
 
-  /// REST GET /ws/v1/cluster/metrics equivalent.
+  /// REST GET /ws/v1/cluster/metrics equivalent (an edge for clients
+  /// and reports; hot paths read available()).
   common::Json cluster_metrics() const;
 
   /// REST GET /ws/v1/cluster/scheduler equivalent (per-queue usage).
@@ -95,6 +96,12 @@ class ResourceManager {
   /// totals stay consistent as nodes join and leave mid-run.
   Resource total_capacity() const;
   Resource total_allocated() const;
+
+  /// Headroom: live capacity minus allocation over *all* NMs (a dead or
+  /// decommissioning NM's containers still count until released). The
+  /// typed source of cluster_metrics()' available* fields and the
+  /// agent's dispatch gate; O(NMs), no application scan.
+  Resource available() const;
 
   std::size_t node_count() const { return node_managers_.size(); }
   std::size_t live_node_count() const;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "common/error.h"
 #include "yarn/application_master.h"
 #include "yarn/resource_manager.h"
@@ -210,6 +213,171 @@ TEST_F(YarnTest, ClusterMetricsJson) {
   const auto total = m.at("totalMB").as_int();
   EXPECT_EQ(m.at("availableMB").as_int(), total);
   rm.shutdown();
+}
+
+/// available() is the typed headroom behind cluster_metrics()'
+/// available* fields and the agent's dispatch gate: capacity over live,
+/// non-decommissioning NMs minus allocation over *all* NMs. A seeded walk
+/// over the NM lifecycle checks it after every step against the REST
+/// edge and against an independent sum over the NM ledgers.
+void walk_node_lifecycle(std::uint32_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  std::mt19937 rng(seed);
+  const auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  sim::Engine engine;
+  const auto machine = cluster::generic_profile(4, 8, 16 * 1024);
+  std::vector<std::shared_ptr<cluster::Node>> nodes;
+  for (int i = 0; i < 3; ++i) {
+    nodes.push_back(std::make_shared<cluster::Node>("n" + std::to_string(i),
+                                                    machine.node));
+  }
+  YarnConfig cfg;
+  cfg.nm_liveness_timeout = 30.0;
+  ResourceManager rm(engine, cluster::Allocation(nodes), cfg);
+  std::vector<std::string> registered = {"n0", "n1", "n2"};
+  bool saw_asymmetry = false;
+  const auto check = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    const Resource a = rm.available();
+    const auto m = rm.cluster_metrics().at("clusterMetrics");
+    EXPECT_EQ(a.memory_mb, m.at("availableMB").as_int());
+    EXPECT_EQ(a.vcores, m.at("availableVirtualCores").as_int());
+    Resource cap{0, 0};
+    Resource used{0, 0};
+    common::MemoryMb placeable_free = 0;
+    for (const auto& name : registered) {
+      const NodeManager& nm = rm.node_manager(name);
+      used.memory_mb += nm.allocated().memory_mb;
+      used.vcores += nm.allocated().vcores;
+      if (!nm.alive() || nm.decommissioning()) continue;
+      cap.memory_mb += nm.capacity().memory_mb;
+      cap.vcores += nm.capacity().vcores;
+      placeable_free += nm.available().memory_mb;
+    }
+    EXPECT_EQ(a.memory_mb, cap.memory_mb - used.memory_mb);
+    EXPECT_EQ(a.vcores, cap.vcores - used.vcores);
+    if (a.memory_mb != placeable_free) saw_asymmetry = true;
+  };
+  double now = 0.0;
+  const auto run = [&](double dt, const std::string& step) {
+    now += dt;
+    engine.run_until(now);
+    check(step);
+  };
+
+  ApplicationMaster* am = nullptr;
+  AppDescriptor app;
+  app.on_am_start = [&](ApplicationMaster& m) { am = &m; };
+  const std::string app_id = rm.submit_application(std::move(app));
+  run(30.0, "am up");
+  ASSERT_NE(am, nullptr);
+  const std::string am_node = rm.application(app_id).am_node;
+  std::vector<std::string> victims;
+  for (const auto& name : registered) {
+    if (name != am_node) victims.push_back(name);
+  }
+  std::shuffle(victims.begin(), victims.end(), rng);
+
+  std::vector<std::string> tasks;  // task containers ever allocated
+  const auto running_on = [&](const std::string& node) {
+    std::vector<std::string> ids;
+    for (const auto& id : tasks) {
+      if (rm.container_state(id) == ContainerState::kRunning &&
+          rm.node_manager(node).has_container(id)) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  };
+  const auto allocate = [&](const std::string& step) {
+    ContainerRequest req;
+    req.resource = {1024 * pick(1, 3), pick(1, 2)};
+    am->request_containers(pick(3, 6), req, [&](const Container& c) {
+      tasks.push_back(c.id);
+      am->launch(c.id, [] {});
+    });
+    run(2.0, step + " (allocated)");
+    run(10.0, step + " (launched)");
+  };
+  const auto release_some = [&](const std::string& step) {
+    for (int n = pick(1, 2); n > 0; --n) {
+      std::vector<std::string> live;
+      for (const auto& name : registered) {
+        if (!rm.node_manager(name).alive()) continue;
+        for (const auto& id : running_on(name)) live.push_back(id);
+      }
+      if (live.empty()) return;
+      am->complete_container(live[pick(0, static_cast<int>(live.size()) - 1)]);
+      check(step);
+    }
+  };
+
+  allocate("allocate");
+  release_some("release");
+  allocate("allocate again");
+
+  // Silent crash: containers die at once, but the NM stays alive (its
+  // capacity still counts) until the liveness monitor expires it.
+  rm.node_manager(victims[0]).crash();
+  check("crash");
+  run(10.0, "crashed, not yet detected");
+  run(30.0, "crash detected");
+  EXPECT_FALSE(rm.node_manager(victims[0]).alive());
+  rm.recover_node(victims[0]);
+  check("recover crashed");
+  allocate("allocate after recovery");
+
+  rm.fail_node(victims[1]);
+  check("fail_node");
+  release_some("release after fail");
+  rm.recover_node(victims[1]);
+  check("recover failed");
+
+  auto extra = std::make_shared<cluster::Node>("n3", machine.node);
+  rm.add_node(extra);
+  registered.push_back("n3");
+  check("add_node");
+  allocate("allocate after add");
+
+  // Graceful shrink of the busiest non-AM node: capacity leaves at
+  // once, allocation stays counted until each container is released.
+  std::string busiest;
+  std::size_t most = 0;
+  for (const auto& name : {victims[0], victims[1], std::string("n3")}) {
+    const std::size_t live = running_on(name).size();
+    if (live > most) {
+      most = live;
+      busiest = name;
+    }
+  }
+  ASSERT_FALSE(busiest.empty());
+  rm.decommission_node(busiest);
+  check("decommission with live containers");
+  for (const auto& id : running_on(busiest)) {
+    am->complete_container(id);
+    check("drain " + id);
+  }
+  rm.remove_node(busiest);
+  std::erase(registered, busiest);
+  check("remove drained node");
+
+  const std::string dead = busiest == "n3" ? victims[0] : "n3";
+  rm.fail_node(dead);
+  check("fail before removal");
+  rm.remove_node(dead);
+  std::erase(registered, dead);
+  check("remove dead node");
+  allocate("allocate after removals");
+
+  EXPECT_TRUE(saw_asymmetry)
+      << "the walk never decommissioned a node with live containers";
+  rm.shutdown();
+}
+
+TEST(YarnAvailableTest, MatchesClusterMetricsAcrossNodeLifecycle) {
+  for (const std::uint32_t seed : {1u, 7u, 42u}) walk_node_lifecycle(seed);
 }
 
 TEST_F(YarnTest, SchedulerInfoShowsQueues) {
