@@ -405,7 +405,7 @@ void Agent::write_heartbeat() {
   doc["last_heartbeat"] = saga_.engine().now();
   doc["units_completed"] = static_cast<std::int64_t>(units_completed_);
   doc["units_failed"] = static_cast<std::int64_t>(units_failed_);
-  doc["units_running"] = static_cast<std::int64_t>(running_);
+  doc["units_running"] = static_cast<std::int64_t>(running_units_.size());
   store_.put("heartbeat", pilot_id_, std::move(doc));
   last_heartbeat_at_ = saga_.engine().now();
   if (config_.control_plane == common::ControlPlane::kWatch && !stopped_) {
@@ -747,7 +747,6 @@ void Agent::finish_unit(std::shared_ptr<UnitRec> unit,
   unit->exec_event = sim::EventHandle{};
   unit->am = nullptr;
   running_units_.erase(unit->id);
-  running_ = running_ > 0 ? running_ - 1 : 0;
   set_unit_state(*unit, final_state);
   if (final_state == UnitState::kDone) {
     ++units_completed_;
@@ -770,7 +769,6 @@ common::Seconds Agent::wrapper_time_for(const std::string& node) {
 }
 
 void Agent::exec_plain(std::shared_ptr<UnitRec> unit) {
-  running_ += 1;
   running_units_[unit->id] = unit;
   stage_in(unit, [this, unit] {
     const common::Seconds launch_latency =
@@ -809,7 +807,6 @@ void Agent::exec_plain(std::shared_ptr<UnitRec> unit) {
 }
 
 void Agent::exec_yarn(std::shared_ptr<UnitRec> unit) {
-  running_ += 1;
   running_units_[unit->id] = unit;
   yarn::ResourceManager& rm = yarn_cluster()->resource_manager();
   saga_.trace().begin_span(saga_.engine().now(), "unit", "yarn_submit",
@@ -1229,7 +1226,6 @@ bool Agent::preempt_unit(const std::string& unit_id) {
     unit->yarn_reserved_mb = 0;
   }
   running_units_.erase(unit->id);
-  running_ = running_ > 0 ? running_ - 1 : 0;
   saga_.trace().record(saga_.engine().now(), "unit", "preempted",
                        {{"unit", unit->id}, {"pilot", pilot_id_}});
   // kFailed is legal from any non-final state and is the parking state
@@ -1269,7 +1265,6 @@ void Agent::requeue_unit(const std::shared_ptr<UnitRec>& unit) {
     unit->yarn_reserved_mb = 0;
   }
   running_units_.erase(unit->id);
-  running_ = running_ > 0 ? running_ - 1 : 0;
   saga_.trace().end_span(saga_.engine().now(), "unit", "exec", unit->id);
   saga_.trace().record(saga_.engine().now(), "unit", "preempted",
                        {{"unit", unit->id}, {"pilot", pilot_id_}});
@@ -1278,7 +1273,6 @@ void Agent::requeue_unit(const std::shared_ptr<UnitRec>& unit) {
 }
 
 void Agent::exec_spark(std::shared_ptr<UnitRec> unit) {
-  running_ += 1;
   running_units_[unit->id] = unit;
   stage_in(unit, [this, unit] {
     set_unit_state(*unit, UnitState::kExecuting);

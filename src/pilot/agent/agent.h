@@ -91,7 +91,7 @@ class Agent {
   std::size_t units_completed() const { return units_completed_; }
   std::size_t units_failed() const { return units_failed_; }
   std::size_t units_queued() const { return queue_.size(); }
-  std::size_t units_running() const { return running_; }
+  std::size_t units_running() const { return running_units_.size(); }
 
   // --- Elasticity (runtime resize of the node set) ---
 
@@ -301,7 +301,6 @@ class Agent {
   std::size_t units_completed_ = 0;
   std::size_t units_failed_ = 0;
   std::size_t units_preempted_ = 0;
-  std::size_t running_ = 0;
 };
 
 /// Serialization of unit documents for the state store.

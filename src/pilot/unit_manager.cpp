@@ -30,8 +30,9 @@ UnitManager::UnitManager(Session& session, UnitSchedulingPolicy policy,
                      ? std::move(estimator)
                      : std::make_shared<MovingAverageEstimator>()) {
   register_submit_endpoint();
-  unit_watch_ = session_.store().watch(
-      "unit", "", [this](const WatchEvent& event) { on_unit_event(event); });
+  unit_watch_ = session_.store().watch("unit", "", [this](const auto& e) {
+    on_unit_event(e);
+  });
 }
 
 void UnitManager::register_submit_endpoint() {
@@ -66,41 +67,33 @@ void UnitManager::add_pilot(std::shared_ptr<Pilot> pilot) {
   bound_counts_.emplace(pilot->id(), 0);
   backlog_seconds_.emplace(pilot->id(), 0.0);
   pilots_.push_back(pilot);
-  if (recovery_enabled_) {
-    watch_pilot_for_recovery(pilot);
-    // A replacement pilot may be exactly what stranded units wait for.
-    drain_pending_requeues();
-  }
+  if (recovery_enabled_) watch_pilot_for_recovery(pilot);
+  // A replacement pilot may be exactly what parked units wait for.
+  drain_parked();
 }
 
-std::string UnitManager::pick_pilot(const ComputeUnitDescription& /*desc*/) {
-  if (pilots_.empty()) {
-    throw common::StateError("UnitManager has no pilots");
-  }
-  // Dead pilots are never targets; fall back to any pilot only when all
-  // are final (the submit still records the binding and the unit fails
-  // with that pilot's queue).
-  const auto usable = [this](const std::shared_ptr<Pilot>& p) {
+Pilot* UnitManager::pick_pilot(const ComputeUnitDescription& /*desc*/) {
+  // Dead pilots are never targets: with none live, the caller parks.
+  const auto live = [](const std::shared_ptr<Pilot>& p) {
     return !is_final(p->state());
   };
-  const bool any_live = std::any_of(pilots_.begin(), pilots_.end(), usable);
   switch (policy_) {
     case UnitSchedulingPolicy::kRoundRobin: {
       for (std::size_t i = 0; i < pilots_.size(); ++i) {
         const auto& pilot = pilots_[rr_next_ % pilots_.size()];
         ++rr_next_;
-        if (!any_live || usable(pilot)) return pilot->id();
+        if (live(pilot)) return pilot.get();
       }
-      return pilots_[rr_next_ % pilots_.size()]->id();
+      return nullptr;
     }
     case UnitSchedulingPolicy::kLeastLoaded: {
-      std::string best;
+      Pilot* best = nullptr;
       std::size_t best_count = SIZE_MAX;
       for (const auto& pilot : pilots_) {
-        if (any_live && !usable(pilot)) continue;
+        if (!live(pilot)) continue;
         const std::size_t count = bound_counts_.at(pilot->id());
         if (count < best_count) {
-          best = pilot->id();
+          best = pilot.get();
           best_count = count;
         }
       }
@@ -110,17 +103,17 @@ std::string UnitManager::pick_pilot(const ComputeUnitDescription& /*desc*/) {
       // Least predicted outstanding seconds, normalized by the pilot's
       // *live* node count so elastic resizes shift load immediately; the
       // description size stands in until the placeholder job starts.
-      std::string best;
+      Pilot* best = nullptr;
       double best_backlog = 1e300;
       for (const auto& pilot : pilots_) {
-        if (any_live && !usable(pilot)) continue;
-        const int live = pilot->live_nodes() > 0
-                             ? pilot->live_nodes()
-                             : pilot->description().nodes;
+        if (!live(pilot)) continue;
+        const int nodes = pilot->live_nodes() > 0
+                              ? pilot->live_nodes()
+                              : pilot->description().nodes;
         const double normalized = backlog_seconds_.at(pilot->id()) /
-                                  static_cast<double>(std::max(1, live));
+                                  static_cast<double>(std::max(1, nodes));
         if (normalized < best_backlog) {
-          best = pilot->id();
+          best = pilot.get();
           best_backlog = normalized;
         }
       }
@@ -154,13 +147,15 @@ void UnitManager::watch_pilot_for_recovery(
 
 void UnitManager::handle_pilot_failure(const std::string& pilot_id) {
   if (!recovery_enabled_) return;
-  for (auto& rec : records_) {
-    const ComputeUnit& unit = *rec.unit;
-    if (unit.pilot_id() != pilot_id) continue;
-    if (unit.state() != UnitState::kFailed) continue;
-    const std::string unit_id = unit.id();
+  // The agent writes every unit it holds kFailed before its pilot
+  // announces kFailed, so those writes' delivery tick is queued ahead of
+  // this zero-delay event: the kFailed records are complete here. Slot
+  // order is submission order, which the backoff jitter draws follow.
+  for (const std::size_t slot : failed_) {
+    UnitRecord& rec = records_[slot];
+    if (rec.unit->pilot_id() != pilot_id || rec.requeues < 0) continue;
+    const std::string& unit_id = rec.unit->id();
     const int requeues = rec.requeues;
-    if (requeues < 0) continue;  // already abandoned
     // Total executions = 1 original + requeues; one more must fit the
     // budget.
     if (!recovery_policy_.allows(requeues + 2)) {
@@ -171,6 +166,7 @@ void UnitManager::handle_pilot_failure(const std::string& pilot_id) {
                               {{"unit", unit_id},
                                {"pilot", pilot_id},
                                {"requeues", std::to_string(requeues)}});
+      if (listener_) listener_(unit_id, UnitState::kFailed);  // settled now
       continue;
     }
     session_.trace().begin_span(session_.engine().now(), "recovery",
@@ -179,7 +175,7 @@ void UnitManager::handle_pilot_failure(const std::string& pilot_id) {
     const common::Seconds backoff =
         recovery_policy_.backoff_for(requeues + 1, recovery_rng_);
     session_.engine().schedule(backoff,
-                               [this, unit_id] { try_requeue(unit_id); });
+                               [this, unit_id] { bind_or_park(unit_id); });
   }
 }
 
@@ -190,22 +186,45 @@ Pilot* UnitManager::find_live_pilot() {
   return nullptr;
 }
 
-void UnitManager::try_requeue(const std::string& unit_id) {
+void UnitManager::bind_or_park(const std::string& unit_id) {
   UnitRecord* rec = find_record(unit_id);
   if (rec == nullptr) return;
-  if (rec->unit->state() != UnitState::kFailed) {  // raced with something
-    rec->limbo = false;
+  ComputeUnit& unit = *rec->unit;
+  const bool fresh = unit.pilot_id().empty();
+  if (!fresh && unit.state() != UnitState::kFailed) {
+    rec->limbo = false;  // revived already (recovery and gateway raced)
     return;
   }
-  Pilot* target = find_live_pilot();
+  Pilot* target = fresh ? pick_pilot(unit.description()) : find_live_pilot();
   if (target == nullptr) {
-    // No live pilot yet: park until add_pilot delivers a replacement.
-    pending_requeue_.push_back(unit_id);
+    parked_.push_back(unit_id);  // add_pilot drains it
+    return;
+  }
+  const std::string from = unit.pilot_id();
+  rebind(*rec, target->id());
+  if (fresh) {
+    dispatch_to_agent(unit_id, target->id(), unit.description());
+    return;
+  }
+  // kFailed -> kPendingAgent is the one legal edge out of a final state
+  // (see transitions.h); then back onto a live agent queue (U.2 again).
+  session_.store().update(
+      "unit", unit_id,
+      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
+       {"pilot", common::Json(target->id())}});
+  session_.store().queue_push("agent." + target->id(), unit_id);
+  // The record takes the manager's own write now, and ignores the
+  // events still in flight from before it (DESIGN.md §13).
+  rec->revivals += 1;
+  observe(*rec, UnitState::kPendingAgent);
+  if (!rec->limbo) {
+    session_.trace().record(
+        session_.engine().now(), "tenant", "unit_redispatched",
+        {{"unit", unit_id}, {"from", from}, {"to", target->id()}});
     return;
   }
   rec->requeues += 1;
   ++units_requeued_;
-  const std::string from = revive(*rec, target->id());
   session_.trace().record(session_.engine().now(), "recovery",
                           "unit_requeued",
                           {{"unit", unit_id},
@@ -217,32 +236,19 @@ void UnitManager::try_requeue(const std::string& unit_id) {
   rec->limbo = false;
 }
 
-std::string UnitManager::revive(UnitRecord& rec, const std::string& to) {
-  ComputeUnit& unit = *rec.unit;
-  const std::string from = unit.pilot_id();
-  // Rebind accounting: the unit now counts against the new pilot. A
-  // prediction still in the old pilot's backlog moves with it; one
-  // already folded out comes back in when the revival is observed.
+void UnitManager::rebind(UnitRecord& rec, const std::string& to) {
+  // The unit now counts against the new pilot. A prediction still in the
+  // old pilot's backlog moves with it; one already folded out comes back
+  // in when the revival is observed.
+  const std::string& from = rec.unit->pilot_id();
   auto bound = bound_counts_.find(from);
   if (bound != bound_counts_.end() && bound->second > 0) bound->second -= 1;
   bound_counts_[to] += 1;
   if (rec.in_backlog) {
-    backlog_seconds_[from] -= rec.predicted;
+    if (!from.empty()) backlog_seconds_[from] -= rec.predicted;
     backlog_seconds_[to] += rec.predicted;
   }
-  unit.pilot_id_ = to;
-
-  // kFailed -> kPendingAgent is the one legal edge out of a final state
-  // (see transitions.h); then back onto a live agent queue (U.2 again).
-  session_.store().update(
-      "unit", unit.id(),
-      {{"state", common::Json(to_string(UnitState::kPendingAgent))},
-       {"pilot", common::Json(to)}});
-  session_.store().queue_push("agent." + to, unit.id());
-  // The record takes the manager's own write now, not at delivery: a
-  // revived unit must never read as settled in between.
-  observe(rec, UnitState::kPendingAgent);
-  return from;
+  rec.unit->pilot_id_ = to;
 }
 
 UnitManager::UnitRecord* UnitManager::find_record(const std::string& unit_id) {
@@ -280,30 +286,24 @@ std::shared_ptr<Pilot> UnitManager::pilot_by_id(
   return nullptr;
 }
 
-bool UnitManager::redispatch_failed(const std::string& unit_id) {
-  UnitRecord* rec = find_record(unit_id);
-  if (rec == nullptr) return false;
-  if (rec->unit->state() != UnitState::kFailed) return false;
-  Pilot* target = find_live_pilot();
-  if (target == nullptr) return false;
-  const std::string from = revive(*rec, target->id());
-  session_.trace().record(
-      session_.engine().now(), "tenant", "unit_redispatched",
-      {{"unit", unit_id}, {"from", from}, {"to", target->id()}});
-  return true;
-}
-
-void UnitManager::drain_pending_requeues() {
-  if (pending_requeue_.empty()) return;
+void UnitManager::drain_parked() {
   std::vector<std::string> waiting;
-  waiting.swap(pending_requeue_);
-  for (const auto& unit_id : waiting) try_requeue(unit_id);
+  waiting.swap(parked_);
+  for (const auto& unit_id : waiting) bind_or_park(unit_id);
 }
 
 void UnitManager::on_unit_event(const WatchEvent& event) {
-  if (event.state.has_value()) {
-    UnitRecord* rec = find_record(event.key);
-    if (rec != nullptr) observe(*rec, *event.state);
+  UnitRecord* rec = event.state.has_value() ? find_record(event.key) : nullptr;
+  bool moved = false;
+  if (rec != nullptr && rec->revivals > 0) {
+    // Older than the manager's own revival write, which the record
+    // already holds; that write's own event closes the gap.
+    if (event.type == WatchEventType::kUpdate &&
+        *event.state == UnitState::kPendingAgent) {
+      rec->revivals -= 1;
+    }
+  } else if (rec != nullptr) {
+    moved = observe(*rec, *event.state);
   }
   // Watch plane: any unit state write (agent write-back, cancellation)
   // may resolve a dependency, so re-check on those instead of sweeping.
@@ -311,27 +311,34 @@ void UnitManager::on_unit_event(const WatchEvent& event) {
       event.type == WatchEventType::kUpdate && !held_.empty()) {
     check_dependencies();
   }
+  if (!moved || !listener_) return;
+  const UnitState state = rec->state;
+  if (state == UnitState::kExecuting ||
+      (is_final(state) &&
+       (state != UnitState::kFailed || failed_settled(*rec)))) {
+    listener_(event.key, state);
+  }
 }
 
-void UnitManager::observe(UnitRecord& rec, UnitState next) {
+bool UnitManager::observe(UnitRecord& rec, UnitState next) {
   const UnitState prev = rec.state;
-  if (prev == next) return;
+  if (prev == next) return false;
   // hoh-analyze: allow-next-line(state-write) -- mirrors a gated write
   rec.state = next;
-  const std::string& unit_id = rec.unit->id();
-  if (prev == UnitState::kFailed) failed_.erase(unit_id);
-  if (next == UnitState::kFailed) failed_.insert(unit_id);
+  const std::size_t slot = static_cast<std::size_t>(&rec - records_.data());
+  if (prev == UnitState::kFailed) failed_.erase(slot);
+  if (next == UnitState::kFailed) failed_.insert(slot);
   if (next == UnitState::kDone) ++done_count_;
   const common::Seconds now = session_.engine().now();
   if (next == UnitState::kExecuting) rec.executing_at = now;
-  if (is_final(prev) == is_final(next)) return;
+  if (is_final(prev) == is_final(next)) return true;
   if (!is_final(next)) {  // revived (kFailed -> kPendingAgent)
     --final_count_;
     if (!rec.in_backlog) {
       backlog_seconds_[rec.unit->pilot_id()] += rec.predicted;
       rec.in_backlog = true;
     }
-    return;
+    return true;
   }
   ++final_count_;
   if (rec.in_backlog) {
@@ -343,10 +350,14 @@ void UnitManager::observe(UnitRecord& rec, UnitState next) {
     estimator_->observe(rec.unit->description(), now - rec.executing_at);
   }
   rec.executing_at = -1.0;
+  return true;
 }
 
 std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
     const std::vector<ComputeUnitDescription>& descriptions) {
+  if (pilots_.empty()) {
+    throw common::StateError("UnitManager has no pilots");
+  }
   std::vector<std::shared_ptr<ComputeUnit>> out;
   out.reserve(descriptions.size());
   records_.reserve(records_.size() + descriptions.size());
@@ -356,39 +367,41 @@ std::vector<std::shared_ptr<ComputeUnit>> UnitManager::submit(
       throw common::ConfigError("ComputeUnitDescription.cores must be >= 1");
     }
     const std::string unit_id = session_.next_unit_id();
-    const std::string pilot_id = pick_pilot(desc);  // U.1
-    bound_counts_[pilot_id] += 1;
-    const double predicted = estimator_->predict(desc);
-    backlog_seconds_[pilot_id] += predicted;
+    // U.1; a held unit binds when released, and none binds to a dead pilot.
+    Pilot* target = desc.depends_on.empty() ? pick_pilot(desc) : nullptr;
     auto handle = std::shared_ptr<ComputeUnit>(
-        new ComputeUnit(this, unit_id, pilot_id, desc));
+        new ComputeUnit(this, unit_id, "", desc));
     record_index_.emplace(unit_id, records_.size());
-    records_.push_back(UnitRecord{handle,
-                                  desc.depends_on.empty()
-                                      ? UnitState::kPendingAgent
-                                      : UnitState::kNew,
-                                  -1.0, predicted});
+    records_.push_back(UnitRecord{
+        handle, target != nullptr ? UnitState::kPendingAgent : UnitState::kNew,
+        -1.0, estimator_->predict(desc)});
+    if (target != nullptr) rebind(records_.back(), target->id());
 
     session_.trace().record(session_.engine().now(), "unit", "Submitted",
-                            {{"unit", unit_id}, {"pilot", pilot_id}});
+                            {{"unit", unit_id}, {"pilot", handle->pilot_id()}});
     session_.trace().begin_span(session_.engine().now(), "unit", "startup",
                                 unit_id);
 
-    if (desc.depends_on.empty()) {
-      dispatch_to_agent(unit_id, pilot_id, desc);
+    if (target != nullptr) {
+      dispatch_to_agent(unit_id, target->id(), desc);
     } else {
-      // Held back: document exists (state New) so handles can query it.
+      // Held back or parked: document exists (state New) so handles can
+      // query it.
       common::Json doc;
       doc["description"] = unit_to_json(desc);
       doc["state"] = to_string(UnitState::kNew);
-      doc["pilot"] = pilot_id;
+      doc["pilot"] = handle->pilot_id();
       session_.store().put("unit", unit_id, std::move(doc));
-      held_.push_back(HeldUnit{unit_id, pilot_id, desc});
-      // Watch plane: the unit watch re-checks (on_unit_event).
-      if (control_plane_ == common::ControlPlane::kPoll &&
-          !dependency_check_.valid()) {
-        dependency_check_ = session_.engine().schedule_periodic(
-            1.0, [this] { check_dependencies(); });
+      if (desc.depends_on.empty()) {
+        parked_.push_back(unit_id);
+      } else {
+        held_.push_back(unit_id);
+        // Watch plane: the unit watch re-checks (on_unit_event).
+        if (control_plane_ == common::ControlPlane::kPoll &&
+            !dependency_check_.valid()) {
+          dependency_check_ = session_.engine().schedule_periodic(
+              1.0, [this] { check_dependencies(); });
+        }
       }
     }
     out.push_back(std::move(handle));
@@ -414,11 +427,12 @@ void UnitManager::dispatch_to_agent(const std::string& unit_id,
 }
 
 void UnitManager::check_dependencies() {
-  std::vector<HeldUnit> still_held;
-  for (auto& held : held_) {
+  std::vector<std::string> still_held;
+  for (auto& unit_id : held_) {
+    const ComputeUnit& unit = *find_record(unit_id)->unit;
     bool ready = true;
     bool doomed = false;
-    for (const auto& dep_id : held.desc.depends_on) {
+    for (const auto& dep_id : unit.description().depends_on) {
       const UnitRecord* dep = find_record(dep_id);
       if (dep == nullptr) {
         doomed = true;  // unknown dependency can never resolve
@@ -434,18 +448,18 @@ void UnitManager::check_dependencies() {
     }
     if (doomed) {
       session_.store().update(
-          "unit", held.unit_id,
+          "unit", unit_id,
           {{"state", common::Json(to_string(UnitState::kCanceled))}});
       session_.trace().record(session_.engine().now(), "unit", "Canceled",
-                              {{"unit", held.unit_id},
+                              {{"unit", unit_id},
                                {"reason", "dependency-failed"}});
       continue;
     }
-    if (!ready) {
-      still_held.push_back(std::move(held));
-      continue;
+    if (ready) {
+      bind_or_park(unit_id);
+    } else {
+      still_held.push_back(std::move(unit_id));
     }
-    dispatch_to_agent(held.unit_id, held.pilot_id, held.desc);
   }
   held_ = std::move(still_held);
   if (held_.empty() && dependency_check_.valid()) {
@@ -464,8 +478,8 @@ bool UnitManager::all_done() const {
   // unfinished; once all are final, only the kFailed records need the
   // recovery rule.
   if (final_count_ != records_.size()) return false;
-  for (const auto& unit_id : failed_) {
-    if (!failed_settled(*find_record(unit_id))) return false;
+  for (const std::size_t slot : failed_) {
+    if (!failed_settled(records_[slot])) return false;
   }
   return true;
 }

@@ -90,9 +90,9 @@ class UnitManager {
     control_plane_ = plane;
   }
 
-  /// Registers a pilot as a unit target. With recovery enabled, a pilot
-  /// added later (e.g. a resubmitted replacement) immediately absorbs
-  /// units waiting for a live target.
+  /// Registers a pilot as a unit target. A pilot added later (e.g. a
+  /// resubmitted replacement) immediately absorbs the units parked while
+  /// no pilot was live.
   void add_pilot(std::shared_ptr<Pilot> pilot);
 
   /// Enables requeue-on-pilot-failure: units that die with their pilot
@@ -117,7 +117,9 @@ class UnitManager {
   /// depends_on are held client-side until every dependency is Done
   /// (released by the dependency check, see set_control_plane), and
   /// canceled if a dependency fails or is canceled. Dependencies may
-  /// reference units submitted earlier or in the same batch.
+  /// reference units submitted earlier or in the same batch. A unit is
+  /// bound when queued (a held one on release), never to a dead pilot:
+  /// with none live it parks (state kNew) until add_pilot brings one.
   std::vector<std::shared_ptr<ComputeUnit>> submit(
       const std::vector<ComputeUnitDescription>& descriptions);
 
@@ -154,14 +156,24 @@ class UnitManager {
   /// Registered pilot by id; nullptr when unknown.
   std::shared_ptr<Pilot> pilot_by_id(const std::string& pilot_id) const;
 
-  /// Gateway preemption path: re-dispatches a unit parked at kFailed
-  /// (e.g. by Agent::preempt_unit) onto a live pilot, crossing the one
-  /// legal out-edge of a final state — kFailed -> kPendingAgent, the
-  /// same edge the fault-recovery requeue uses — and rebinding the
-  /// pilot accounting. Unlike recovery it consumes no retry budget and
-  /// applies no backoff. Returns false when the unit is unknown, not
-  /// kFailed, or no live pilot exists.
-  bool redispatch_failed(const std::string& unit_id);
+  /// The one bind-or-park path. An unbound unit (parked at submit) is
+  /// bound by the scheduling policy and queued (U.1/U.2). A kFailed one
+  /// crosses kFailed -> kPendingAgent, the one legal out-edge of a final
+  /// state, onto the first live pilot: a recovery requeue when in limbo,
+  /// otherwise a gateway redispatch of a preempted unit (no retry budget,
+  /// no backoff). With no live pilot the unit parks until add_pilot
+  /// brings one; any other unit is left alone.
+  void bind_or_park(const std::string& unit_id);
+
+  /// The lifecycle listener (one slot, the tenant gateway's): told when
+  /// a unit reaches kExecuting or a *settled* final state — the
+  /// all_done() rule, so a recoverable kFailed is not reported and an
+  /// abandonment is. Called at the end of the unit watch callback.
+  using UnitListener =
+      std::function<void(const std::string& unit_id, UnitState state)>;
+  void set_unit_listener(UnitListener listener) {
+    listener_ = std::move(listener);
+  }
 
  private:
   friend class ComputeUnit;
@@ -178,9 +190,11 @@ class UnitManager {
     bool in_backlog = true;  // `predicted` counts in its pilot's backlog
     bool limbo = false;      // kFailed, requeue scheduled or parked
     int requeues = 0;        // -1 once the retry budget is gone
+    int revivals = 0;  // own revival writes whose event is still in flight
   };
 
-  std::string pick_pilot(const ComputeUnitDescription& desc);
+  /// A live pilot by the scheduling policy; nullptr when none is live.
+  Pilot* pick_pilot(const ComputeUnitDescription& desc);
   /// Registers submit_endpoint_ ("um<N>.submit") on the session
   /// transport; its handler unpacks the description and runs submit().
   void register_submit_endpoint();
@@ -198,20 +212,17 @@ class UnitManager {
   /// Moves a record to \p next and keeps the counters, the backlog and
   /// the estimator in step: a final state folds the unit out of its
   /// pilot's backlog (Executing -> Done also feeds the estimator), a
-  /// revival folds it back in.
-  void observe(UnitRecord& rec, UnitState next);
+  /// revival folds it back in. Returns false when the state is unchanged.
+  bool observe(UnitRecord& rec, UnitState next);
   /// The barrier rule for a kFailed record (see all_done()).
   bool failed_settled(const UnitRecord& rec) const;
-  /// Crosses kFailed -> kPendingAgent onto pilot \p to: rebinds the
-  /// pilot accounting, writes the store and the agent queue, and applies
-  /// the write to the record at once. Returns the old pilot id.
-  std::string revive(UnitRecord& rec, const std::string& to);
+  /// Moves the unit's pilot binding (bound count, predicted backlog).
+  void rebind(UnitRecord& rec, const std::string& to);
 
   // --- fault recovery (requeue units off a dead pilot) ---
   void watch_pilot_for_recovery(const std::shared_ptr<Pilot>& pilot);
   void handle_pilot_failure(const std::string& pilot_id);
-  void try_requeue(const std::string& unit_id);
-  void drain_pending_requeues();
+  void drain_parked();
   /// Any registered pilot not in a final state; nullptr when none.
   Pilot* find_live_pilot();
 
@@ -225,16 +236,11 @@ class UnitManager {
   std::unordered_map<std::string, std::size_t> record_index_;  // id -> slot
   std::size_t final_count_ = 0;  // records in a final state
   std::size_t done_count_ = 0;   // records in kDone
-  std::set<std::string> failed_;  // ids of records in kFailed
+  std::set<std::size_t> failed_;  // slots of records in kFailed
   WatchHandle unit_watch_;
+  UnitListener listener_;
 
-  /// Units held back by dependencies: (unit id, pilot id, description).
-  struct HeldUnit {
-    std::string unit_id;
-    std::string pilot_id;
-    ComputeUnitDescription desc;
-  };
-  std::vector<HeldUnit> held_;
+  std::vector<std::string> held_;  // ids of units held by dependencies
   sim::EventHandle dependency_check_;  // poll plane only
   common::ControlPlane control_plane_ = common::ControlPlane::kPoll;
   std::vector<std::shared_ptr<Pilot>> pilots_;
@@ -245,7 +251,7 @@ class UnitManager {
   bool recovery_enabled_ = false;
   common::RetryPolicy recovery_policy_;
   common::Rng recovery_rng_{42};
-  std::vector<std::string> pending_requeue_;    // waiting for a live pilot
+  std::vector<std::string> parked_;  // ids waiting for a live pilot
   std::size_t units_requeued_ = 0;
   std::size_t units_abandoned_ = 0;
 };

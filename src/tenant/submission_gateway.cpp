@@ -8,7 +8,6 @@
 #include "net/message.h"
 #include "net/transport.h"
 #include "pilot/agent/agent.h"
-#include "pilot/transitions.h"
 
 namespace hoh::tenant {
 
@@ -37,20 +36,18 @@ SubmissionGateway::SubmissionGateway(pilot::UnitManager& um,
       config_(config),
       scheduler_(config.decay_half_life),
       accounting_(config.accounting_journal) {
-  // Watch plane: the gateway learns about unit lifecycle progress from
-  // the same store writes the agents make — in-flight units reaching
-  // kExecuting feed the wait-time accounting, final states free a
-  // window slot and trigger a dispatch tick. No periodic loop.
-  watch_ = um_.session().store().watch(
-      "unit", "",
-      [this](const pilot::WatchEvent& event) { on_store_event(event); });
+  // The UnitManager owns unit lifecycle; its listener tells the gateway
+  // when an in-flight unit reaches kExecuting (wait-time accounting) and
+  // a settled final state (frees a window slot, triggers a dispatch
+  // tick). No store watch of its own, no periodic loop.
+  um_.set_unit_listener([this](const std::string& unit_id,
+                               pilot::UnitState state) {
+    on_unit_progress(unit_id, state);
+  });
 }
 
 SubmissionGateway::~SubmissionGateway() {
-  if (watch_.valid()) {
-    um_.session().store().unwatch(watch_);
-    watch_ = pilot::WatchHandle{};
-  }
+  um_.set_unit_listener(nullptr);
   if (tick_event_.valid()) {
     engine_.cancel(tick_event_);
     tick_event_ = sim::EventHandle{};
@@ -174,7 +171,6 @@ void SubmissionGateway::dispatch_head(TenantRec& tenant) {
   PendingUnit unit = std::move(tenant.pending.front());
   tenant.pending.pop_front();
 
-  FlightRec flight;
   if (unit.unit_id.empty()) {
     // First dispatch: the unit enters the StateStore here (U.1/U.2) —
     // and only here, which is the admission-before-insert invariant.
@@ -187,23 +183,17 @@ void SubmissionGateway::dispatch_head(TenantRec& tenant) {
         um_.session().transport(), um_.submit_endpoint(),
         net::SubmitRequest{tenant.spec.id, packer.take()});
     unit.unit_id = reply.unit_id;
-    flight.handle = um_.find_unit(unit.unit_id);
   } else {
     // Parked preempted unit: cross the legal kFailed -> kPendingAgent
-    // edge back onto a live pilot.
-    if (!um_.redispatch_failed(unit.unit_id)) {
-      tenant.pending.push_front(std::move(unit));  // no live pilot yet
-      return;
-    }
-    flight.handle = um_.find_unit(unit.unit_id);
+    // edge back onto a live pilot (the manager parks it until one is).
+    um_.bind_or_park(unit.unit_id);
   }
+  FlightRec flight;
+  flight.handle = um_.find_unit(unit.unit_id);
   flight.tenant = tenant.spec.id;
-  flight.name = unit.desc.name;
   flight.seq = unit.seq;
   flight.submit_time = unit.submit_time;
   flight.dispatch_time = now;
-  flight.cores = unit.desc.cores;
-  flight.duration = unit.desc.duration;
   flight.wait_recorded = unit.wait_recorded;
   tenant.in_flight += 1;
   tenant.cores_in_flight += unit.desc.cores;
@@ -212,7 +202,7 @@ void SubmissionGateway::dispatch_head(TenantRec& tenant) {
     flight.charged = unit.desc.cores * std::max(unit.desc.duration, 0.0);
     scheduler_.charge(flight.tenant, flight.charged, now);
   }
-  accounting_.on_dispatched(now, flight.tenant, flight.name);
+  accounting_.on_dispatched(now, flight.tenant, unit.desc.name);
   um_.session().trace().record(now, "tenant", "dispatched",
                                {{"tenant", flight.tenant},
                                 {"unit", unit.unit_id}});
@@ -274,9 +264,9 @@ bool SubmissionGateway::try_preempt_for(const std::string& claimant,
     parked.unit_id = id;
     parked.wait_recorded = flight.wait_recorded;
     owner.in_flight -= 1;
-    owner.cores_in_flight -= flight.cores;
+    owner.cores_in_flight -= parked.desc.cores;
     scheduler_.charge(flight.tenant, -flight.charged, now);  // refund
-    accounting_.on_preempted(now, flight.tenant, flight.name);
+    accounting_.on_preempted(now, flight.tenant, parked.desc.name);
     um_.session().trace().record(now, "tenant", "preempted",
                                  {{"tenant", flight.tenant},
                                   {"unit", id},
@@ -289,40 +279,36 @@ bool SubmissionGateway::try_preempt_for(const std::string& claimant,
   return false;
 }
 
-void SubmissionGateway::on_store_event(const pilot::WatchEvent& event) {
-  if (event.type != pilot::WatchEventType::kUpdate) return;
-  auto it = in_flight_.find(event.key);
-  if (it == in_flight_.end()) return;
-  const pilot::UnitState state = it->second.handle->state();
-  const common::Seconds now = engine_.now();
-  if (state == pilot::UnitState::kExecuting && !it->second.wait_recorded) {
-    it->second.wait_recorded = true;
-    accounting_.on_started(now, it->second.tenant, it->second.name,
-                           now - it->second.submit_time);
-  }
-  if (pilot::is_final(state)) handle_final(event.key, state);
-}
-
-void SubmissionGateway::handle_final(const std::string& unit_id,
-                                     pilot::UnitState state) {
+void SubmissionGateway::on_unit_progress(const std::string& unit_id,
+                                         pilot::UnitState state) {
   auto it = in_flight_.find(unit_id);
   if (it == in_flight_.end()) return;
+  const common::Seconds now = engine_.now();
+  if (state == pilot::UnitState::kExecuting) {
+    if (!it->second.wait_recorded) {
+      it->second.wait_recorded = true;
+      accounting_.on_started(now, it->second.tenant,
+                             it->second.handle->description().name,
+                             now - it->second.submit_time);
+    }
+    return;
+  }
   FlightRec flight = std::move(it->second);
   in_flight_.erase(it);
   TenantRec& tenant = tenants_.at(flight.tenant);
   tenant.in_flight -= 1;
-  tenant.cores_in_flight -= flight.cores;
-  const common::Seconds now = engine_.now();
+  const pilot::ComputeUnitDescription& desc = flight.handle->description();
+  tenant.cores_in_flight -= desc.cores;
   if (state == pilot::UnitState::kDone) {
-    accounting_.on_completed(now, flight.tenant, flight.name,
-                             flight.cores * flight.duration);
-    completed_names_.push_back(flight.name);
+    accounting_.on_completed(now, flight.tenant, desc.name,
+                             desc.cores * desc.duration);
+    completed_names_.push_back(desc.name);
   } else {
-    accounting_.on_failed(now, flight.tenant, flight.name);
+    accounting_.on_failed(now, flight.tenant, desc.name);
   }
   // A slot freed: see whether queued work fits now. This tick — driven
-  // by the completion's store write — is the gateway's only dispatch
-  // trigger besides submit() itself.
+  // by the settled final state — is the gateway's only dispatch trigger
+  // besides submit() itself.
   request_dispatch();
 }
 

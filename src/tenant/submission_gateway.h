@@ -25,10 +25,10 @@
 ///    so rejected or still-queued work never touches the store, and a
 ///    plan without a tenants: section is byte-identical to the
 ///    gateway-less path (no gateway object is even constructed).
-///  * Dispatch is event-driven (PR 5 watch plane): a store watch on the
-///    "unit" collection observes in-flight units reaching a final state
-///    and schedules one deduplicated zero-delay dispatch tick — there is
-///    no periodic loop (lint rule 5).
+///  * Dispatch is event-driven: the UnitManager's lifecycle listener
+///    reports in-flight units reaching a settled final state, and each
+///    report schedules one deduplicated zero-delay dispatch tick — there
+///    is no store watch of the gateway's own and no periodic loop.
 ///  * Preemption uses only the legal requeue edge from PR 4: the agent
 ///    parks the victim at kFailed (the one final state with an out-edge)
 ///    and redispatch crosses kFailed -> kPendingAgent.
@@ -73,8 +73,8 @@ struct Admission {
 
 class SubmissionGateway {
  public:
-  /// The gateway fronts \p um; both must outlive it. Registers a store
-  /// watch on the "unit" collection (removed in the destructor).
+  /// The gateway fronts \p um, which must outlive it. Takes the
+  /// manager's lifecycle listener slot (cleared in the destructor).
   explicit SubmissionGateway(pilot::UnitManager& um,
                              GatewayConfig config = {});
   ~SubmissionGateway();
@@ -98,6 +98,9 @@ class SubmissionGateway {
 
   std::size_t pending_count() const;
   std::size_t in_flight_count() const { return in_flight_.size(); }
+  bool in_flight(const std::string& unit_id) const {
+    return in_flight_.count(unit_id) > 0;
+  }
   std::size_t peak_in_flight() const { return peak_in_flight_; }
   std::size_t units_preempted() const { return units_preempted_; }
 
@@ -126,15 +129,12 @@ class SubmissionGateway {
 
   struct FlightRec {
     std::string tenant;
-    std::string name;
     std::uint64_t seq = 0;
     common::Seconds submit_time = 0.0;
     common::Seconds dispatch_time = 0.0;
-    int cores = 1;
-    double duration = 0.0;
     double charged = 0.0;  // fair-share usage charged at dispatch
     bool wait_recorded = false;
-    std::shared_ptr<pilot::ComputeUnit> handle;
+    std::shared_ptr<pilot::ComputeUnit> handle;  // id, pilot, description
   };
 
   struct TenantRec {
@@ -150,8 +150,8 @@ class SubmissionGateway {
   void dispatch_pass();
   bool quota_allows(const TenantRec& tenant, int head_cores) const;
   void dispatch_head(TenantRec& tenant);
-  void on_store_event(const pilot::WatchEvent& event);
-  void handle_final(const std::string& unit_id, pilot::UnitState state);
+  /// The UnitManager listener: kExecuting or a settled final state.
+  void on_unit_progress(const std::string& unit_id, pilot::UnitState state);
   /// One preemption attempt on behalf of blocked tenant \p claimant.
   bool try_preempt_for(const std::string& claimant, common::Seconds now);
 
@@ -163,7 +163,6 @@ class SubmissionGateway {
   std::map<std::string, TenantRec> tenants_;
   std::map<std::string, FlightRec> in_flight_;  // unit id -> record
   std::vector<std::string> completed_names_;
-  pilot::WatchHandle watch_;
   sim::EventHandle tick_event_;
   bool tick_pending_ = false;
   std::uint64_t next_seq_ = 1;

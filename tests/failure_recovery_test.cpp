@@ -477,6 +477,38 @@ TEST_F(PilotRecoveryTest, RespawnedPilotAbsorbsWaitingUnits) {
   EXPECT_GE(um.units_requeued(), 1u);
 }
 
+TEST_F(PilotRecoveryTest, UnitSubmittedWhileNoPilotIsLiveWaitsForReplacement) {
+  // Between a pilot's death and its replacement's registration no pilot
+  // is live: a unit submitted then parks unbound (kNew) instead of being
+  // queued on the dead pilot, and the replacement absorbs it.
+  pilot::PilotManager pm(session_);
+  pilot::UnitManager um(session_);
+  std::shared_ptr<pilot::Pilot> replacement;
+  pm.enable_recovery(fast_policy(),
+                     [&](const std::shared_ptr<pilot::Pilot>& fresh,
+                         const std::shared_ptr<pilot::Pilot>&) {
+                       replacement = fresh;
+                       um.add_pilot(fresh);
+                     });
+  auto pilot = pm.submit_pilot(one_node_pilot());
+  um.add_pilot(pilot);
+  run_until_active(pilot);
+  scheduler().fail_node(pilot_node(pilot));
+  ASSERT_EQ(pilot->state(), pilot::PilotState::kFailed);
+  ASSERT_EQ(replacement, nullptr);  // resubmission waits out its backoff
+  pilot::ComputeUnitDescription cud;
+  cud.duration = 60.0;
+  auto unit = um.submit(cud);
+  EXPECT_EQ(unit->state(), pilot::UnitState::kNew);
+  EXPECT_EQ(unit->pilot_id(), "");
+  while (!um.all_done() && session_.engine().now() < 14400.0) {
+    run_for(10.0);
+  }
+  ASSERT_NE(replacement, nullptr);
+  EXPECT_EQ(unit->state(), pilot::UnitState::kDone);
+  EXPECT_EQ(unit->pilot_id(), replacement->id());
+}
+
 // ------------------------------------------------ elastic failure grow ---
 
 TEST_F(PilotRecoveryTest, CapacityLossBelowFloorForcesGrow) {

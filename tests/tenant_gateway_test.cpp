@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "analytics/experiment_config.h"
 #include "analytics/kmeans_experiment.h"
 #include "common/error.h"
 #include "pilot/pilot_manager.h"
@@ -265,6 +268,59 @@ TEST(SubmissionGateway, SingleTenantRunMatchesGatewaylessDigest) {
                                          .at("completed")
                                          .as_number()),
             gated.units_completed);
+}
+
+TEST(SubmissionGateway, TenantRecoveryPlanCompletesEveryUnit) {
+  // plans/tenant_recovery.json: the pilot dies at t = 300 s while the
+  // gateway holds half of each wave back behind its dispatch window.
+  // Units the pilot took down are recoverable, so they must stay in
+  // flight at the gateway until the replacement pilot finishes them, and
+  // units dispatched before the replacement is up must wait for it
+  // instead of binding to the dead pilot. Both planes, both transports.
+  std::ifstream in(std::string(HOH_SOURCE_DIR) + "/plans/tenant_recovery.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::vector<analytics::KmeansExperimentConfig> plan =
+      analytics::experiment_plan_from_json(common::Json::parse(text.str()));
+  ASSERT_EQ(plan.size(), 2u);
+  for (const analytics::KmeansExperimentConfig& cell : plan) {
+    SCOPED_TRACE(common::to_string(cell.control_plane));
+    ASSERT_TRUE(cell.tenants);
+    // Every name the cell submits, completed exactly once: the same
+    // digest as the gateway-less run of the cell, which completes all.
+    analytics::KmeansExperimentConfig gateless = cell;
+    gateless.tenants = false;
+    const analytics::KmeansExperimentResult all =
+        run_kmeans_experiment(gateless);
+    ASSERT_TRUE(all.ok);
+    double ttc = -1.0;
+    for (const char* transport : {"inprocess", "socket"}) {
+      SCOPED_TRACE(transport);
+      analytics::KmeansExperimentConfig cfg = cell;
+      cfg.transport = transport;
+      const analytics::KmeansExperimentResult r = run_kmeans_experiment(cfg);
+      EXPECT_TRUE(r.ok);
+      EXPECT_EQ(r.units_completed, 64u);
+      EXPECT_EQ(r.pilots_resubmitted, 1u);
+      EXPECT_EQ(r.output_checksum, all.output_checksum);
+      ASSERT_TRUE(r.tenant_accounting.is_object());
+      std::size_t completed = 0;
+      std::size_t failed = 0;
+      for (const auto& [id, tenant] :
+           r.tenant_accounting.at("tenants").as_object()) {
+        completed += static_cast<std::size_t>(
+            tenant.at("completed").as_number());
+        failed += static_cast<std::size_t>(tenant.at("failed").as_number());
+      }
+      EXPECT_EQ(completed, 64u);
+      EXPECT_EQ(failed, 0u);
+      if (ttc >= 0.0) {
+        EXPECT_EQ(r.time_to_completion, ttc);
+      }
+      ttc = r.time_to_completion;
+    }
+  }
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 // never from store reads. An oracle re-derives both answers by brute
 // force from the store's unit documents after every engine step, over
 // seeded runs that combine pilot-failure recovery, gateway preemption
-// and depends_on units on both control planes.
+// and depends_on units on both control planes. The same oracle checks
+// the gateway, which follows the manager's lifecycle listener: a unit
+// it holds in flight is unsettled, a unit it saw complete is kDone.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +54,31 @@ Oracle scan_store(pilot::Session& session, const pilot::UnitManager& um) {
     }
   }
   return o;
+}
+
+/// The gateway against the store: every unit it holds in flight is
+/// unsettled by the barrier rule above, and every unit it saw complete
+/// is kDone.
+void check_gateway(pilot::Session& session, const pilot::UnitManager& um,
+                   const tenant::SubmissionGateway& gw) {
+  std::map<std::string, pilot::UnitState> by_name;
+  for (const auto& [id, doc] : session.store().find_all("unit")) {
+    const pilot::UnitState state =
+        pilot::unit_state_from_string(doc.at("state").as_string());
+    by_name[doc.at("description").at("name").as_string()] = state;
+    if (!gw.in_flight(id) || !pilot::is_final(state)) continue;
+    const auto pilot = um.pilot_by_id(doc.at("pilot").as_string());
+    const bool pilot_failed =
+        pilot != nullptr && pilot->state() == pilot::PilotState::kFailed;
+    EXPECT_TRUE(state == pilot::UnitState::kFailed &&
+                (um.in_limbo(id) || (!um.abandoned(id) && pilot_failed)))
+        << id << " is settled at " << pilot::to_string(state)
+        << " but the gateway holds it in flight, t="
+        << session.engine().now();
+  }
+  for (const auto& name : gw.completed_unit_names()) {
+    EXPECT_EQ(by_name.at(name), pilot::UnitState::kDone) << name;
+  }
 }
 
 pilot::ComputeUnitDescription unit(const std::string& name, double duration) {
@@ -127,6 +156,7 @@ TEST_P(BarrierOracleTest, MatchesBruteForceStoreScanAfterEveryStep) {
       ASSERT_EQ(um.all_done(), o.all_done)
           << "t=" << session.engine().now();
       ASSERT_EQ(um.done_count(), o.done) << "t=" << session.engine().now();
+      check_gateway(session, um, gw);
       if (o.all_final && !o.all_done) ++rule_steps;
     };
 
@@ -198,6 +228,84 @@ TEST_P(BarrierOracleTest, MatchesBruteForceStoreScanAfterEveryStep) {
   EXPECT_GT(requeued, 0u);
   EXPECT_GT(preempted, 0u);
   EXPECT_GT(rule_steps, 0u);
+}
+
+TEST_P(BarrierOracleTest, SamePassPreemptAndRedispatchStaysInFlight) {
+  // The victim tenant wins the re-pick right after a preemption, so one
+  // dispatch pass preempts its unit and redispatches it onto the same
+  // pilot. The preemption's kFailed event is still in flight behind the
+  // revival: the manager must not report the unit final to the gateway.
+  const common::ControlPlane plane = GetParam();
+  pilot::Session session;
+  const cluster::MachineProfile machine = cluster::generic_profile(1, 4);
+  session.register_machine(machine, hpc::SchedulerKind::kSlurm, 1);
+  pilot::PilotManager pm(session);
+  pilot::UnitManager um(session);
+  um.set_control_plane(plane);
+  tenant::GatewayConfig gc;
+  gc.policy = tenant::SchedulingPolicy::kFairShare;
+  gc.dispatch_window = 1;
+  gc.preemption = true;
+  gc.preempt_ratio = 4.0;
+  tenant::SubmissionGateway gw(um, gc);
+  for (const char* id : {"claimant", "victim"}) {
+    tenant::TenantSpec spec;
+    spec.id = id;
+    gw.add_tenant(spec);
+  }
+  pilot::AgentConfig agent;
+  agent.spawn_latency = 0.01;
+  agent.control_plane = plane;
+  pilot::PilotDescription pd;
+  pd.resource = "slurm://" + machine.name + "/";
+  pd.nodes = 1;
+  pd.runtime = 24 * 3600.0;
+  um.add_pilot(pm.submit_pilot(pd, agent));
+
+  const auto step_and_check = [&](double seconds) {
+    session.engine().run_until(session.engine().now() + seconds);
+    ASSERT_EQ(um.all_done(), scan_store(session, um).all_done);
+    check_gateway(session, um, gw);
+  };
+  const auto run_while = [&](const std::function<bool()>& busy) {
+    while (busy() && session.engine().now() < 3600.0) step_and_check(1.0);
+  };
+  // The claimant's small usage and the victim's large one put the two
+  // priorities 40x apart; the refund at preemption then zeroes the
+  // victim's usage, so it outranks the claimant on the re-pick.
+  gw.submit("claimant", unit("c0", 10.0));
+  run_while([&] { return !gw.quiescent(); });
+  gw.submit("victim", unit("v0", 400.0));
+  step_and_check(0.0);
+  std::string v0_id;
+  for (const auto& [id, doc] : session.store().find_all("unit")) {
+    if (doc.at("description").at("name").as_string() == "v0") v0_id = id;
+  }
+  const auto v0 = um.find_unit(v0_id);
+  ASSERT_NE(v0, nullptr);
+  run_while([&] { return v0->state() != pilot::UnitState::kExecuting; });
+  gw.submit("claimant", unit("c1", 10.0));
+  step_and_check(0.0);
+
+  // Preempted and redispatched at the same instant, still in flight.
+  const auto preempted = session.trace().find("tenant", "preempted");
+  const auto redispatched =
+      session.trace().find("tenant", "unit_redispatched");
+  ASSERT_EQ(preempted.size(), 1u);
+  ASSERT_EQ(redispatched.size(), 1u);
+  EXPECT_EQ(preempted[0].attrs.at("unit"), v0_id);
+  EXPECT_EQ(redispatched[0].attrs.at("unit"), v0_id);
+  EXPECT_EQ(preempted[0].time, redispatched[0].time);
+  EXPECT_EQ(gw.in_flight_count(), 1u);
+  EXPECT_TRUE(gw.in_flight(v0_id));
+  EXPECT_EQ(gw.accounting().to_json(false)
+                .at("tenants").at("victim").at("failed").as_number(),
+            0.0);
+
+  run_while([&] { return !(um.all_done() && gw.quiescent()); });
+  EXPECT_TRUE(gw.quiescent());
+  EXPECT_EQ(gw.completed_unit_names(),
+            (std::vector<std::string>{"c0", "v0", "c1"}));
 }
 
 INSTANTIATE_TEST_SUITE_P(

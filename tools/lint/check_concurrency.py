@@ -37,6 +37,12 @@ hook and dependency-free, unlike the clang-tidy pass it complements:
      declare a common::Mutex, every such declaration must be paired with
      HOH_GUARDED_BY annotations somewhere in the file so -Wthread-safety
      covers the data it protects.
+  7. Unit lifecycle has one owner (DESIGN.md §13): only
+     src/pilot/unit_manager.cpp may register a StateStore watch on the
+     "unit" collection. Anything else that follows unit progress takes
+     the UnitManager's listener (set_unit_listener) or reads its
+     records, so no second copy of the lifecycle can disagree with the
+     barrier. The call may span lines; comment lines are skipped.
 
 Usage: tools/lint/check_concurrency.py [root]   (root defaults to src/)
 Exit status: 0 clean, 1 violations found (one "file:line: message" per
@@ -99,6 +105,10 @@ TENANT_BANNED = re.compile(
     r"|barrier|promise|future|shared_future|async)\b"
 )
 MUTEX_DECL = re.compile(r"\bcommon::Mutex\b")
+# Rule 7: a watch call whose first argument is the "unit" collection
+# (a line comment may sit between the parenthesis and the argument).
+UNIT_WATCH = re.compile(r'\bwatch\s*\(\s*(?://[^\n]*\n\s*)*"unit"')
+UNIT_WATCH_OWNER = "src/pilot/unit_manager.cpp"
 GUARDED_BY = re.compile(r"\bHOH_GUARDED_BY\b")
 
 COMMENT = re.compile(r"^\s*(?://|\*|///)")
@@ -170,6 +180,17 @@ def lint_file(path: pathlib.Path, rel: str,
                 f"{rel}:{lineno}: common::Mutex declared in src/tenant/ "
                 f"without any HOH_GUARDED_BY annotation in the file; "
                 f"annotate the data the mutex protects"
+            )
+    if rule_rel != UNIT_WATCH_OWNER:
+        lines = text.splitlines()
+        for match in UNIT_WATCH.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            if COMMENT.match(lines[lineno - 1]):
+                continue
+            problems.append(
+                f"{rel}:{lineno}: watch on the \"unit\" collection outside "
+                f"{UNIT_WATCH_OWNER}; unit lifecycle has one owner "
+                f"(DESIGN.md §13) — use UnitManager::set_unit_listener"
             )
     budget = PERIODIC_BUDGET.get(rule_rel, 0)
     for lineno in periodic_sites[budget:]:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Self-test for the static-analysis gates: tools/lint/check_concurrency.py
-(rules 1-6) and tools/analyze/hoh_analyze.py (all four rule families).
+(rules 1-7) and tools/analyze/hoh_analyze.py (all four rule families).
 
 The fixture tree (tests/lint_fixtures/) holds deliberately-bad snippets;
 every line that must be flagged carries a trailing `// EXPECT: <rule>`
@@ -45,6 +45,7 @@ LINT_RULE_SUBSTRINGS = {
     "lint-rule5": "schedule_periodic call site over budget",
     "lint-rule6": "threading primitive in src/tenant/",
     "lint-rule6b": "without any HOH_GUARDED_BY",
+    "lint-rule7": "watch on the \"unit\" collection",
 }
 
 SOURCE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp", ".cxx"}
