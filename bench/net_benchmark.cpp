@@ -5,7 +5,8 @@
 /// (msgs/sec) and round-trip latency percentiles (p50/p99) per
 /// transport and payload size. The socket numbers price the message
 /// boundary: every call packs a versioned frame, crosses loopback TCP
-/// into the epoll reactor, and returns the reply the same way.
+/// (the calling thread writes one end and reads the other), and returns
+/// the reply the same way.
 ///
 /// Writes a JSON artifact (default BENCH_net.json) and optionally
 /// gates: --assert-socket-msgs is a msgs/sec floor, --assert-socket-p99

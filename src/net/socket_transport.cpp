@@ -3,40 +3,73 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <arpa/inet.h>
-
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <thread>
 #include <utility>
 
 #include "common/error.h"
+#include "net/socket_util.h"
 
 namespace hoh::net {
 
 namespace {
 
-/// epoll_event user tags.
-constexpr std::uint32_t kTagListen = 0;
-constexpr std::uint32_t kTagWake = 1;
-constexpr std::uint32_t kTagPeer0 = 2;
-constexpr std::uint32_t kTagPeer1 = 3;
+/// How long a redial waits for its own connection on the listener
+/// before the attempt counts as failed.
+constexpr int kAcceptTimeoutMs = 1000;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-void close_quietly(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
+bool would_block() { return errno == EAGAIN || errno == EWOULDBLOCK; }
+
+/// Accepts the server side of the connection dialed on \p client_fd,
+/// closing any stray peer queued ahead of it. Returns -1 on timeout or
+/// error.
+int accept_own(int listen_fd, int client_fd) {
+  sockaddr_in want{};
+  socklen_t len = sizeof(want);
+  ::getsockname(client_fd, reinterpret_cast<sockaddr*>(&want), &len);
+  for (;;) {
+    pollfd p{listen_fd, POLLIN, 0};
+    if (::poll(&p, 1, kAcceptTimeoutMs) <= 0) return -1;
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    const int fd =
+        ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &peer_len);
+    if (fd < 0) {
+      if (would_block() || errno == EINTR) continue;
+      return -1;
+    }
+    if (peer.sin_port == want.sin_port &&
+        peer.sin_addr.s_addr == want.sin_addr.s_addr) {
+      return fd;
+    }
+    ::close(fd);  // only the transport's own connection is served
   }
+}
+
+/// Pops one complete frame off \p ring. Returns false while it is still
+/// incomplete; throws CodecError on a corrupt header.
+bool pop_frame(RingBuffer& ring, Envelope* out) {
+  std::uint8_t header[kFrameHeaderBytes];
+  if (ring.peek(header, sizeof(header)) < sizeof(header)) return false;
+  Unpacker hu(header, sizeof(header));
+  const FrameHeader fh = FrameHeader::unpack(hu);
+  if (ring.size() < kFrameHeaderBytes + fh.length) return false;
+  ring.consume(kFrameHeaderBytes);
+  out->type = static_cast<MsgType>(fh.type);
+  out->payload.resize(fh.length);
+  ring.peek(out->payload.data(), fh.length);
+  ring.consume(fh.length);
+  return true;
 }
 
 }  // namespace
@@ -44,116 +77,43 @@ void close_quietly(int& fd) {
 SocketTransport::SocketTransport(SocketTransportConfig config)
     : config_(std::move(config)), reconnect_rng_(config_.reconnect_seed) {
   config_.reconnect.validate();
-  open_listener();
-  start_reactor();
-  connect_with_backoff();
+  listen_fd_ = tcp_listen(config_.host, config_.port, &port_);
+  set_nonblocking(listen_fd_);
+  common::MutexLock lock(mu_);
+  try {
+    connect_with_backoff();
+  } catch (...) {
+    close_socket(listen_fd_);  // no destructor runs for a failed ctor
+    throw;
+  }
 }
 
 SocketTransport::~SocketTransport() {
   {
     common::MutexLock lock(mu_);
-    stopping_ = true;
+    drop_connection();
   }
-  cv_.notify_all();
-  wake_reactor();
-  if (reactor_.joinable()) reactor_.join();
-  {
-    common::MutexLock lock(mu_);
-    close_quietly(peers_[0].fd);
-    close_quietly(peers_[1].fd);
-    close_quietly(pending_client_fd_);
-  }
-  close_quietly(listen_fd_);
-  close_quietly(epoll_fd_);
-  close_quietly(wake_fd_);
-}
-
-void SocketTransport::open_listener() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw common::ResourceError("SocketTransport: socket() failed: " +
-                                std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    throw common::ConfigError("SocketTransport: bad host " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    throw common::ResourceError("SocketTransport: bind(" + config_.host + ":" +
-                                std::to_string(config_.port) +
-                                ") failed: " + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 8) != 0) {
-    throw common::ResourceError(std::string("SocketTransport: listen failed: ") +
-                                std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
-}
-
-void SocketTransport::start_reactor() {
-  epoll_fd_ = ::epoll_create1(0);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    throw common::ResourceError("SocketTransport: epoll/eventfd setup failed");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u32 = kTagListen;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u32 = kTagWake;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  reactor_ = std::thread([this] { reactor_main(); });
-}
-
-void SocketTransport::wake_reactor() {
-  const std::uint64_t one = 1;
-  // A full eventfd counter still wakes the reactor; ignore the result.
-  [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
+  close_socket(listen_fd_);
 }
 
 void SocketTransport::connect_with_backoff() {
   const common::RetryPolicy& policy = config_.reconnect;
   for (int attempt = 1;; ++attempt) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0) {
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(port_);
-      ::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr);
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)) == 0) {
+    try {
+      int client = tcp_connect(config_.host, port_);
+      int server = accept_own(listen_fd_, client);
+      if (server >= 0) {
         const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        {
-          common::MutexLock lock(mu_);
-          conn_error_ = false;  // only this (engine) thread reads it
-          pending_client_fd_ = fd;
-        }
-        wake_reactor();
-        // Wait until the reactor adopted the dialed side and accepted
-        // the server side (or the fresh connection died instantly).
-        common::MutexLock lock(mu_);
-        while (!connected_ && !conn_error_ && !stopping_) {
-          cv_.wait(mu_);
-        }
-        if (stopping_) {
-          throw common::StateError("SocketTransport: shutting down");
-        }
-        if (connected_) return;
-        // conn_error_: the connection died during the handshake; retry.
-      } else {
-        ::close(fd);
+        ::setsockopt(server, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        set_nonblocking(client);
+        set_nonblocking(server);
+        fds_[0] = client;
+        fds_[1] = server;
+        return;
       }
+      close_socket(client);
+    } catch (const common::ResourceError&) {
+      // connect() refused: retry under the budget below.
     }
     if (!policy.allows(attempt + 1)) {
       throw common::ResourceError(
@@ -163,6 +123,13 @@ void SocketTransport::connect_with_backoff() {
     }
     const double backoff = policy.backoff_for(attempt, reconnect_rng_);
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+  }
+}
+
+void SocketTransport::drop_connection() {
+  for (int slot = 0; slot < 2; ++slot) {
+    close_socket(fds_[slot]);
+    in_[slot].clear();
   }
 }
 
@@ -184,19 +151,13 @@ bool SocketTransport::has_endpoint(const std::string& endpoint) const {
   return endpoints_.count(endpoint) != 0;
 }
 
-Envelope SocketTransport::dispatch(const std::string& endpoint,
-                                   const Envelope& request) {
-  Handler handler;
-  {
-    common::MutexLock lock(mu_);
-    auto it = endpoints_.find(endpoint);
-    if (it == endpoints_.end()) {
-      throw common::NotFoundError("transport: no endpoint \"" + endpoint +
-                                  "\"");
-    }
-    handler = it->second;
+Transport::Handler SocketTransport::handler_for(
+    const std::string& endpoint) const {
+  auto it = endpoints_.find(endpoint);
+  if (it == endpoints_.end()) {
+    throw common::NotFoundError("transport: no endpoint \"" + endpoint + "\"");
   }
-  return handler(request);
+  return it->second;
 }
 
 TransportStats SocketTransport::stats() const {
@@ -206,13 +167,15 @@ TransportStats SocketTransport::stats() const {
 
 // --- wire ------------------------------------------------------------
 
-std::vector<std::uint8_t> SocketTransport::encode_wire(const WireMessage& msg) {
+std::vector<std::uint8_t> SocketTransport::encode_wire(
+    std::uint64_t seq, WireKind kind, const std::string& endpoint,
+    const Envelope& envelope) {
   Packer body;
-  body.u64(msg.seq);
-  body.u8(msg.kind);
-  body.str(msg.endpoint);
-  body.bytes(msg.envelope.payload);
-  return encode_frame(Envelope{msg.envelope.type, body.take()});
+  body.u64(seq);
+  body.u8(kind);
+  body.str(endpoint);
+  body.bytes(envelope.payload);
+  return encode_frame(Envelope{envelope.type, body.take()});
 }
 
 SocketTransport::WireMessage SocketTransport::decode_wire(
@@ -229,305 +192,116 @@ SocketTransport::WireMessage SocketTransport::decode_wire(
 }
 
 SocketTransport::WireMessage SocketTransport::wire_transfer(
-    int peer_slot, const WireMessage& msg) {
-  const std::vector<std::uint8_t> bytes = encode_wire(msg);
+    int slot, WireKind kind, const std::string& endpoint,
+    const Envelope& envelope) {
+  const std::uint64_t seq = next_seq_++;
+  const std::vector<std::uint8_t> bytes =
+      encode_wire(seq, kind, endpoint, envelope);
+  WireMessage got;
   for (;;) {
-    bool need_reconnect = false;
-    {
-      common::MutexLock lock(mu_);
-      if (stopping_) {
-        throw common::StateError("SocketTransport: shutting down");
-      }
-      if (!connected_ || conn_error_) {
-        need_reconnect = true;
-      } else {
-        peers_[peer_slot].out.push_back(bytes);
-        stats_.bytes_sent += bytes.size();
+    if (fds_[0] < 0) connect_with_backoff();  // an earlier redial gave up
+    bool delivered = false;
+    try {
+      delivered = try_transfer(slot, bytes, seq, &got);
+    } catch (const CodecError&) {
+      // A corrupt stream is as good as a torn one.
+    }
+    if (delivered) return got;
+    drop_connection();
+    ++stats_.reconnects;
+    connect_with_backoff();  // then retransmit on the fresh connection
+  }
+}
+
+bool SocketTransport::try_transfer(int slot,
+                                   const std::vector<std::uint8_t>& bytes,
+                                   std::uint64_t seq, WireMessage* got) {
+  const int out_fd = fds_[slot];
+  const int in_fd = fds_[1 - slot];
+  RingBuffer& ring = in_[1 - slot];
+  std::size_t written = 0;
+  std::uint64_t received = 0;
+  std::uint8_t chunk[64 * 1024];
+  for (;;) {
+    while (written < bytes.size()) {
+      const ssize_t n = ::send(out_fd, bytes.data() + written,
+                               bytes.size() - written, MSG_NOSIGNAL);
+      if (n >= 0) {
+        written += static_cast<std::size_t>(n);
+      } else if (would_block()) {
+        break;  // buffers full: drain the reader before writing on
+      } else if (errno != EINTR) {
+        return false;  // EPIPE / ECONNRESET: torn
       }
     }
-    if (need_reconnect) {
-      {
-        common::MutexLock lock(mu_);
-        ++stats_.reconnects;
-      }
-      connect_with_backoff();
-      continue;  // retransmit on the fresh connection
-    }
-    wake_reactor();
-    common::MutexLock lock(mu_);
     for (;;) {
-      while (inbound_.empty() && !conn_error_ && !stopping_) {
-        cv_.wait(mu_);
+      const ssize_t n = ::recv(in_fd, chunk, sizeof(chunk), 0);
+      if (n == 0) return false;  // EOF: torn
+      if (n < 0) {
+        if (would_block()) break;
+        if (errno == EINTR) continue;
+        return false;
       }
-      if (stopping_) {
-        throw common::StateError("SocketTransport: shutting down");
+      ring.append(chunk, static_cast<std::size_t>(n));
+      received += static_cast<std::uint64_t>(n);
+      Envelope frame;
+      while (pop_frame(ring, &frame)) {
+        WireMessage msg = decode_wire(frame);
+        // Only this frame is in flight, so a foreign seq is a stray:
+        // drop it and keep reading for ours.
+        if (msg.seq != seq) continue;
+        stats_.bytes_sent += written;
+        stats_.bytes_received += received;
+        *got = std::move(msg);
+        return true;
       }
-      if (conn_error_) break;  // outer loop: reconnect + retransmit
-      Envelope frame = std::move(inbound_.front());
-      inbound_.pop_front();
-      WireMessage got = decode_wire(frame);
-      // A frame from before a reconnect could in principle slip
-      // through; drop it and keep waiting for ours.
-      if (got.seq != msg.seq) continue;
-      return got;
+    }
+    // Nothing more to read yet: wait until either end can move.
+    pollfd fds[2] = {
+        {in_fd, POLLIN, 0},
+        {out_fd, static_cast<short>(written < bytes.size() ? POLLOUT : 0), 0},
+    };
+    if (::poll(fds, 2, -1) < 0 && errno != EINTR) return false;
+    for (const pollfd& p : fds) {
+      if (p.revents & (POLLERR | POLLHUP | POLLNVAL)) return false;
     }
   }
 }
 
 Envelope SocketTransport::call(const std::string& endpoint,
                                const Envelope& request) {
-  WireMessage req;
+  WireMessage delivered;
+  Handler handler;
   {
     common::MutexLock lock(mu_);
-    req.seq = next_seq_++;
     ++stats_.calls;
+    // Request crosses the wire client -> server...
+    delivered = wire_transfer(0, kRequest, endpoint, request);
+    handler = handler_for(delivered.endpoint);
   }
-  req.kind = kRequest;
-  req.endpoint = endpoint;
-  req.envelope = request;
-  // Request crosses the wire client -> server...
-  const WireMessage delivered = wire_transfer(0, req);
   // ...the handler runs here, on the caller's thread...
-  Envelope reply = dispatch(delivered.endpoint, delivered.envelope);
+  const Envelope reply = handler(delivered.envelope);
   // ...and the reply crosses back server -> client.
-  WireMessage rep;
-  {
-    common::MutexLock lock(mu_);
-    rep.seq = next_seq_++;
-  }
-  rep.kind = kReply;
-  rep.endpoint = endpoint;
-  rep.envelope = std::move(reply);
-  return wire_transfer(1, rep).envelope;
+  common::MutexLock lock(mu_);
+  return wire_transfer(1, kReply, endpoint, reply).envelope;
 }
 
 void SocketTransport::send(const std::string& endpoint,
                            const Envelope& message) {
-  WireMessage msg;
+  WireMessage delivered;
+  Handler handler;
   {
     common::MutexLock lock(mu_);
-    msg.seq = next_seq_++;
     ++stats_.sends;
+    delivered = wire_transfer(0, kOneWay, endpoint, message);
+    handler = handler_for(delivered.endpoint);
   }
-  msg.kind = kOneWay;
-  msg.endpoint = endpoint;
-  msg.envelope = message;
-  const WireMessage delivered = wire_transfer(0, msg);
-  dispatch(delivered.endpoint, delivered.envelope);
+  handler(delivered.envelope);
 }
 
 void SocketTransport::kill_connection() {
   common::MutexLock lock(mu_);
-  if (peers_[0].fd >= 0) ::shutdown(peers_[0].fd, SHUT_RDWR);
-}
-
-// --- reactor ---------------------------------------------------------
-
-void SocketTransport::reactor_main() {
-  epoll_event events[16];
-  for (;;) {
-    const int n = ::epoll_wait(epoll_fd_, events, 16, /*timeout_ms=*/200);
-    {
-      common::MutexLock lock(mu_);
-      if (stopping_) return;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // epoll fd gone: shutting down
-    }
-    for (int i = 0; i < n; ++i) {
-      const std::uint32_t tag = events[i].data.u32;
-      const std::uint32_t ev = events[i].events;
-      if (tag == kTagWake) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] const auto r =
-            ::read(wake_fd_, &drained, sizeof(drained));
-      } else if (tag == kTagListen) {
-        reactor_accept();
-      } else {
-        const int slot = (tag == kTagPeer0) ? 0 : 1;
-        bool alive = true;
-        if (ev & (EPOLLHUP | EPOLLERR)) alive = false;
-        if (alive && (ev & EPOLLIN)) alive = reactor_read(slot);
-        if (alive && (ev & EPOLLOUT)) alive = reactor_write(slot);
-        if (!alive) {
-          reactor_drop_connection();
-          continue;
-        }
-      }
-    }
-    // The wake path also covers "new bytes queued": drain every peer
-    // with pending output.
-    bool dead = false;
-    {
-      common::MutexLock lock(mu_);
-      // Adopt a freshly dialed client side.
-      if (pending_client_fd_ >= 0 && peers_[0].fd < 0) {
-        peers_[0].fd = pending_client_fd_;
-        pending_client_fd_ = -1;
-        set_nonblocking(peers_[0].fd);
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u32 = kTagPeer0;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, peers_[0].fd, &ev);
-      }
-      if (peers_[0].fd >= 0 && peers_[1].fd >= 0 && !connected_) {
-        connected_ = true;
-        cv_.notify_all();
-      }
-    }
-    for (int slot = 0; slot < 2 && !dead; ++slot) {
-      bool has_out;
-      {
-        common::MutexLock lock(mu_);
-        has_out = peers_[slot].fd >= 0 && !peers_[slot].out.empty();
-      }
-      if (has_out) dead = !reactor_write(slot);
-    }
-    if (dead) reactor_drop_connection();
-  }
-}
-
-void SocketTransport::reactor_accept() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or error: nothing (more) to accept
-    common::MutexLock lock(mu_);
-    if (peers_[1].fd >= 0) {
-      // Only one loopback connection is served; late strays are closed.
-      ::close(fd);
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    set_nonblocking(fd);
-    peers_[1].fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u32 = kTagPeer1;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    if (peers_[0].fd >= 0 && !connected_) {
-      connected_ = true;
-    }
-    cv_.notify_all();
-  }
-}
-
-bool SocketTransport::reactor_read(int slot) {
-  int fd;
-  {
-    common::MutexLock lock(mu_);
-    fd = peers_[slot].fd;
-  }
-  if (fd < 0) return true;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) return false;  // orderly close
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    common::MutexLock lock(mu_);
-    Peer& peer = peers_[slot];
-    peer.in.append(buf, static_cast<std::size_t>(n));
-    stats_.bytes_received += static_cast<std::uint64_t>(n);
-    // Reassemble complete frames off the ring.
-    for (;;) {
-      std::uint8_t header[kFrameHeaderBytes];
-      if (peer.in.peek(header, sizeof(header)) < sizeof(header)) break;
-      std::size_t total;
-      try {
-        Unpacker hu(header, sizeof(header));
-        const FrameHeader fh = FrameHeader::unpack(hu);
-        total = kFrameHeaderBytes + fh.length;
-      } catch (const CodecError&) {
-        return false;  // corrupt stream: drop the connection
-      }
-      if (peer.in.size() < total) break;
-      std::vector<std::uint8_t> frame(total);
-      peer.in.peek(frame.data(), total);
-      peer.in.consume(total);
-      Envelope env;
-      try {
-        if (try_decode_frame(frame.data(), frame.size(), &env) != total) {
-          return false;
-        }
-      } catch (const CodecError&) {
-        return false;
-      }
-      inbound_.push_back(std::move(env));
-      cv_.notify_all();
-    }
-  }
-  return true;
-}
-
-bool SocketTransport::reactor_write(int slot) {
-  for (;;) {
-    int fd;
-    const std::uint8_t* data = nullptr;
-    std::size_t len = 0;
-    {
-      common::MutexLock lock(mu_);
-      Peer& peer = peers_[slot];
-      fd = peer.fd;
-      if (fd < 0) return true;
-      if (peer.out.empty()) {
-        arm_writer(slot, false);
-        return true;
-      }
-      data = peer.out.front().data() + peer.out_offset;
-      len = peer.out.front().size() - peer.out_offset;
-    }
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        common::MutexLock lock(mu_);
-        arm_writer(slot, true);
-        return true;
-      }
-      if (errno == EINTR) continue;
-      return false;
-    }
-    common::MutexLock lock(mu_);
-    Peer& peer = peers_[slot];
-    peer.out_offset += static_cast<std::size_t>(n);
-    if (!peer.out.empty() && peer.out_offset >= peer.out.front().size()) {
-      peer.out.pop_front();
-      peer.out_offset = 0;
-    }
-  }
-}
-
-void SocketTransport::arm_writer(int slot, bool on) {
-  Peer& peer = peers_[slot];
-  if (peer.fd < 0 || peer.want_write == on) return;
-  peer.want_write = on;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (on ? EPOLLOUT : 0u);
-  ev.data.u32 = (slot == 0) ? kTagPeer0 : kTagPeer1;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, peer.fd, &ev);
-}
-
-void SocketTransport::reactor_drop_connection() {
-  common::MutexLock lock(mu_);
-  for (Peer& peer : peers_) {
-    if (peer.fd >= 0) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, peer.fd, nullptr);
-      ::close(peer.fd);
-      peer.fd = -1;
-    }
-    peer.in.clear();
-    peer.out.clear();
-    peer.out_offset = 0;
-    peer.want_write = false;
-  }
-  inbound_.clear();
-  connected_ = false;
-  conn_error_ = true;
-  cv_.notify_all();
+  if (fds_[0] >= 0) ::shutdown(fds_[0], SHUT_RDWR);
 }
 
 }  // namespace hoh::net

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/retry.h"
@@ -15,11 +13,12 @@
 /// \file socket_transport.h
 /// The socket-backed Transport (DESIGN.md §14): every envelope is packed
 /// into a versioned frame and round-trips a real loopback TCP connection
-/// before its handler runs. An epoll reactor thread owns the file
-/// descriptors — non-blocking accept/read/write, ring-buffered frame
-/// reassembly per peer, per-peer write queues drained on EPOLLOUT — and
-/// hands complete inbound frames back to the calling thread, which
-/// blocks on a condition variable until its frame arrives.
+/// before its handler runs. The calling thread drives both ends of that
+/// connection itself with non-blocking I/O: it writes the frame on one
+/// end, drains the other into a ring buffer until the frame is
+/// reassembled, and poll()s both when the socket buffers are full, so a
+/// frame far larger than the buffers still makes progress on one thread.
+/// No I/O thread, no hand-off: a crossing costs the two syscalls.
 ///
 /// call() therefore traverses the wire twice (request over, reply back)
 /// and send() once, while the handler itself still executes on the
@@ -28,11 +27,15 @@
 /// byte-identical simulation digests while this one genuinely exercises
 /// framing, partial reads, backpressure and reconnect.
 ///
-/// A torn connection (peer reset, kill_connection() in tests) is
-/// repaired transparently: the in-flight frame is retransmitted on a
-/// fresh connection dialed under the PR 4 RetryPolicy (wall-clock
-/// exponential backoff, seeded jitter), and stats().reconnects counts
-/// the repairs.
+/// A torn connection (EOF, EPIPE, POLLERR/POLLHUP; kill_connection() in
+/// tests) is repaired transparently: both ends are closed, a fresh
+/// connection is dialed and accepted under a common::RetryPolicy
+/// (wall-clock exponential backoff, seeded jitter), the in-flight frame
+/// is retransmitted, and stats().reconnects counts the repairs.
+///
+/// Transfers are serialised by mu_, which is held across the I/O and
+/// released before any handler runs; it is a leaf like every mutex in
+/// src/ (DESIGN.md §7), so a handler may call back into the transport.
 
 namespace hoh::net {
 
@@ -41,7 +44,7 @@ struct SocketTransportConfig {
   std::uint16_t port = 0;  // 0 = kernel-assigned ephemeral port
 
   /// Redial budget for torn connections. Wall-clock, not simulated:
-  /// the reactor lives outside the simulation engine.
+  /// the socket I/O lives outside the simulation engine.
   common::RetryPolicy reconnect{
       .max_attempts = 8,
       .base_backoff = 0.01,
@@ -83,72 +86,53 @@ class SocketTransport : public Transport {
   ///   seq u64 | kind u8 | endpoint str | payload bytes
   enum WireKind : std::uint8_t { kRequest = 0, kOneWay = 1, kReply = 2 };
 
-  /// One TCP peer the reactor services. Exactly two exist when the
-  /// loopback connection is up: the dialed (client) side and the
-  /// accepted (server) side.
-  struct Peer {
-    int fd = -1;
-    RingBuffer in;
-    std::deque<std::vector<std::uint8_t>> out;
-    std::size_t out_offset = 0;  // bytes of out.front() already written
-    bool want_write = false;     // EPOLLOUT currently armed
-  };
-
-  void open_listener();
-  void start_reactor();
-  /// Dials a fresh loopback connection (RetryPolicy backoff) and waits
-  /// until the reactor accepted it. Throws ResourceError when the budget
-  /// is exhausted.
-  void connect_with_backoff();
-
-  /// Sends one framed wire message via \p peer_slot (0 = client side,
-  /// 1 = server side) and blocks until the reactor delivers the next
-  /// complete inbound frame; transparently reconnects and retransmits.
-  /// Returns the decoded wire body (seq, kind, endpoint, envelope).
+  /// A decoded wire body (seq, kind, endpoint, envelope).
   struct WireMessage {
     std::uint64_t seq = 0;
     std::uint8_t kind = kRequest;
     std::string endpoint;
     Envelope envelope;
   };
-  WireMessage wire_transfer(int peer_slot, const WireMessage& msg);
 
-  static std::vector<std::uint8_t> encode_wire(const WireMessage& msg);
+  /// Dials a fresh loopback connection and accepts its server side,
+  /// under the RetryPolicy backoff. Throws ResourceError when the budget
+  /// is exhausted.
+  void connect_with_backoff() HOH_REQUIRES(mu_);
+  void drop_connection() HOH_REQUIRES(mu_);
+
+  /// Writes one framed wire message on fds_[\p slot] (0 = dialed side,
+  /// 1 = accepted side) and reads it back off the other end;
+  /// transparently reconnects and retransmits on a torn connection.
+  WireMessage wire_transfer(int slot, WireKind kind,
+                            const std::string& endpoint,
+                            const Envelope& envelope) HOH_REQUIRES(mu_);
+  /// One attempt of wire_transfer on the live connection. Returns false
+  /// when the connection tore, leaving the repair to the caller.
+  bool try_transfer(int slot, const std::vector<std::uint8_t>& bytes,
+                    std::uint64_t seq, WireMessage* got) HOH_REQUIRES(mu_);
+
+  static std::vector<std::uint8_t> encode_wire(std::uint64_t seq,
+                                               WireKind kind,
+                                               const std::string& endpoint,
+                                               const Envelope& envelope);
   static WireMessage decode_wire(const Envelope& frame);
 
-  /// Dispatches a decoded request to its registered handler.
-  Envelope dispatch(const std::string& endpoint, const Envelope& request);
-
-  // --- reactor side ---
-  void reactor_main();
-  void reactor_accept();
-  bool reactor_read(int slot);   // false = connection died
-  bool reactor_write(int slot);  // false = connection died
-  void reactor_drop_connection();
-  void arm_writer(int slot, bool on) HOH_REQUIRES(mu_);
-  void wake_reactor();
+  /// The handler registered under \p endpoint; throws NotFoundError.
+  Handler handler_for(const std::string& endpoint) const HOH_REQUIRES(mu_);
 
   SocketTransportConfig config_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
 
   mutable common::Mutex mu_;
-  common::CondVar cv_;
   std::map<std::string, Handler> endpoints_ HOH_GUARDED_BY(mu_);
-  mutable TransportStats stats_ HOH_GUARDED_BY(mu_);
-  /// peers_[0] = dialed side, peers_[1] = accepted side.
-  Peer peers_[2] HOH_GUARDED_BY(mu_);
-  std::deque<Envelope> inbound_ HOH_GUARDED_BY(mu_);
-  bool connected_ HOH_GUARDED_BY(mu_) = false;
-  bool conn_error_ HOH_GUARDED_BY(mu_) = false;
-  bool stopping_ HOH_GUARDED_BY(mu_) = false;
-  int pending_client_fd_ HOH_GUARDED_BY(mu_) = -1;
+  TransportStats stats_ HOH_GUARDED_BY(mu_);
+  /// fds_[0] = dialed side, fds_[1] = accepted side; -1 while torn.
+  int fds_[2] HOH_GUARDED_BY(mu_) = {-1, -1};
+  /// in_[i] reassembles the frames arriving on fds_[i].
+  RingBuffer in_[2] HOH_GUARDED_BY(mu_);
   std::uint64_t next_seq_ HOH_GUARDED_BY(mu_) = 1;
-
-  common::Rng reconnect_rng_;
-  std::thread reactor_;
+  common::Rng reconnect_rng_ HOH_GUARDED_BY(mu_);
 };
 
 }  // namespace hoh::net

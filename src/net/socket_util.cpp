@@ -35,16 +35,19 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
 
 int tcp_listen(const std::string& host, std::uint16_t port,
                std::uint16_t* bound_port) {
+  const sockaddr_in addr = make_addr(host, port);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket()");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = make_addr(host, port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    throw_errno("bind(" + host + ":" + std::to_string(port) + ")");
+          0 ||
+      ::listen(fd, 16) != 0) {
+    const int err = errno;
+    ::close(fd);  // a failed listener must not leak its fd
+    errno = err;
+    throw_errno("bind/listen(" + host + ":" + std::to_string(port) + ")");
   }
-  if (::listen(fd, 16) != 0) throw_errno("listen()");
   if (bound_port != nullptr) {
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);

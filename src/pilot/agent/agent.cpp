@@ -383,6 +383,23 @@ void Agent::stop(bool fail_units) {
   }
   waiting_for_shared_am_.clear();
   if (fail_units) {
+    // Units still in the store queue were bound to this pilot but never
+    // popped; they die with it too (kPendingAgent -> kFailed), so the
+    // Unit-Manager's recovery requeues them along with the rest.
+    const std::string queue = "agent." + pilot_id_;
+    if (store_.queue_depth(queue) > 0) {
+      for (const auto& id : store_.queue_pop_all(queue)) {
+        const auto doc = store_.get("unit", id);
+        if (!doc.has_value() ||
+            unit_state_from_string(doc->at("state").as_string()) !=
+                UnitState::kPendingAgent) {
+          continue;
+        }
+        UnitRec stranded;
+        stranded.id = id;
+        set_unit_state(stranded, UnitState::kFailed);
+      }
+    }
     // The allocation died mid-execution: in-flight units are lost too.
     // finish_unit releases their node/core ledgers so the nodes return
     // to the batch pool clean for the next (resubmitted) pilot.

@@ -153,7 +153,11 @@ void UnitManager::handle_pilot_failure(const std::string& pilot_id) {
   // order is submission order, which the backoff jitter draws follow.
   for (const std::size_t slot : failed_) {
     UnitRecord& rec = records_[slot];
-    if (rec.unit->pilot_id() != pilot_id || rec.requeues < 0) continue;
+    // A preempted unit is its holder's to revive, not recovery's.
+    if (rec.unit->pilot_id() != pilot_id || rec.requeues < 0 ||
+        rec.preempted) {
+      continue;
+    }
     const std::string& unit_id = rec.unit->id();
     const int requeues = rec.requeues;
     // Total executions = 1 original + requeues; one more must fit the
@@ -202,6 +206,7 @@ void UnitManager::bind_or_park(const std::string& unit_id) {
   }
   const std::string from = unit.pilot_id();
   rebind(*rec, target->id());
+  rec->preempted = false;
   if (fresh) {
     dispatch_to_agent(unit_id, target->id(), unit.description());
     return;
@@ -234,6 +239,18 @@ void UnitManager::bind_or_park(const std::string& unit_id) {
   session_.trace().end_span(session_.engine().now(), "recovery",
                             "unit_outage", unit_id);
   rec->limbo = false;
+}
+
+bool UnitManager::preempt(const std::string& unit_id) {
+  UnitRecord* rec = find_record(unit_id);
+  if (rec == nullptr) return false;
+  const auto pilot = pilot_by_id(rec->unit->pilot_id());
+  if (pilot == nullptr || pilot->agent() == nullptr ||
+      !pilot->agent()->preempt_unit(unit_id)) {
+    return false;
+  }
+  rec->preempted = true;
+  return true;
 }
 
 void UnitManager::rebind(UnitRecord& rec, const std::string& to) {

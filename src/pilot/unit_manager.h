@@ -165,6 +165,13 @@ class UnitManager {
   /// brings one; any other unit is left alone.
   void bind_or_park(const std::string& unit_id);
 
+  /// Gateway preemption: asks the unit's agent to preempt it (parking it
+  /// at kFailed) and, when it did, marks the record preempted. Such a
+  /// unit is revived only by its holder's bind_or_park — recovery leaves
+  /// it alone even when its pilot dies — so it is never revived twice.
+  /// Returns false when the agent refused (mid-staging) or is gone.
+  bool preempt(const std::string& unit_id);
+
   /// The lifecycle listener (one slot, the tenant gateway's): told when
   /// a unit reaches kExecuting or a *settled* final state — the
   /// all_done() rule, so a recoverable kFailed is not reported and an
@@ -191,6 +198,7 @@ class UnitManager {
     bool limbo = false;      // kFailed, requeue scheduled or parked
     int requeues = 0;        // -1 once the retry budget is gone
     int revivals = 0;  // own revival writes whose event is still in flight
+    bool preempted = false;  // parked by preempt(); its holder revives it
   };
 
   /// A live pilot by the scheduling policy; nullptr when none is live.

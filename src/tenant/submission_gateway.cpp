@@ -7,7 +7,6 @@
 #include "net/json_codec.h"
 #include "net/message.h"
 #include "net/transport.h"
-#include "pilot/agent/agent.h"
 
 namespace hoh::tenant {
 
@@ -247,11 +246,8 @@ bool SubmissionGateway::try_preempt_for(const std::string& claimant,
               return fa.seq > fb.seq;
             });
   for (const std::string* unit_id : candidates) {
+    if (!um_.preempt(*unit_id)) continue;
     FlightRec& flight = in_flight_.at(*unit_id);
-    auto pilot = um_.pilot_by_id(flight.handle->pilot_id());
-    if (pilot == nullptr || pilot->agent() == nullptr) continue;
-    if (!pilot->agent()->preempt_unit(*unit_id)) continue;
-
     // The victim now sits at kFailed in the store (the PR 4 requeue
     // edge's tail state). Park it at the front of its tenant queue so
     // it is the next unit its tenant redispatches.

@@ -509,6 +509,42 @@ TEST_F(PilotRecoveryTest, UnitSubmittedWhileNoPilotIsLiveWaitsForReplacement) {
   EXPECT_EQ(unit->pilot_id(), replacement->id());
 }
 
+TEST_F(PilotRecoveryTest, UnitStillInAgentStoreQueueRequeuesWithItsPilot) {
+  // A unit pushed onto the agent's store queue at the instant its pilot
+  // dies was never popped by the agent; the stop fails it with the rest,
+  // so recovery moves it to the replacement instead of stranding it
+  // kPendingAgent on the dead pilot.
+  pilot::PilotManager pm(session_);
+  pilot::UnitManager um(session_);
+  um.set_control_plane(common::ControlPlane::kPoll);
+  um.enable_recovery(fast_policy());
+  std::shared_ptr<pilot::Pilot> replacement;
+  pm.enable_recovery(fast_policy(),
+                     [&](const std::shared_ptr<pilot::Pilot>& fresh,
+                         const std::shared_ptr<pilot::Pilot>&) {
+                       replacement = fresh;
+                       um.add_pilot(fresh);
+                     });
+  pilot::AgentConfig agent;
+  agent.control_plane = common::ControlPlane::kPoll;
+  auto pilot = pm.submit_pilot(one_node_pilot(), agent);
+  um.add_pilot(pilot);
+  run_until_active(pilot);
+  pilot::ComputeUnitDescription cud;
+  cud.duration = 60.0;
+  auto unit = um.submit(cud);
+  scheduler().fail_node(pilot_node(pilot));
+  ASSERT_EQ(pilot->state(), pilot::PilotState::kFailed);
+  while (!um.all_done() && session_.engine().now() < 14400.0) {
+    run_for(10.0);
+  }
+  ASSERT_NE(replacement, nullptr);
+  EXPECT_TRUE(um.all_done());
+  EXPECT_EQ(unit->state(), pilot::UnitState::kDone);
+  EXPECT_EQ(unit->pilot_id(), replacement->id());
+  EXPECT_EQ(um.units_requeued(), 1u);
+}
+
 // ------------------------------------------------ elastic failure grow ---
 
 TEST_F(PilotRecoveryTest, CapacityLossBelowFloorForcesGrow) {

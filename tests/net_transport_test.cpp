@@ -143,6 +143,70 @@ TEST(SocketTransport, ReconnectsAfterTornConnection) {
   t.unregister_endpoint("test.echo");
 }
 
+/// An echo document far larger than the loopback socket buffers, so
+/// each crossing needs many partial writes and reads on one thread.
+StoreIngest big_ingest(std::uint8_t fill) {
+  StoreIngest ingest;
+  ingest.collection = "unit";
+  ingest.unit_id = "unit-big";
+  ingest.queue = "agent.p1";
+  ingest.document.assign(8u << 20, fill);
+  for (std::size_t i = 0; i < ingest.document.size(); i += 4099) {
+    ingest.document[i] = static_cast<std::uint8_t>(i);  // not all one byte
+  }
+  return ingest;
+}
+
+TEST(SocketTransport, EchoesFrameLargerThanSocketBuffers) {
+  SocketTransport t;
+  t.register_endpoint("test.echo", [](const Envelope& env) {
+    return make_envelope(open_envelope<StoreIngest>(env));
+  });
+  const StoreIngest ingest = big_ingest(0x5a);
+  const auto back = call<StoreIngest>(t, "test.echo", ingest);
+  EXPECT_EQ(back.document, ingest.document);
+  EXPECT_EQ(back.unit_id, ingest.unit_id);
+  const TransportStats stats = t.stats();
+  EXPECT_EQ(stats.reconnects, 0u);
+  EXPECT_GT(stats.bytes_sent, 2 * ingest.document.size());
+  EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
+  t.unregister_endpoint("test.echo");
+}
+
+TEST(SocketTransport, RetransmitsLargeFrameTornMidTransfer) {
+  SocketTransportConfig config;
+  config.reconnect.base_backoff = 0.001;
+  config.reconnect.max_backoff = 0.02;
+  SocketTransport t(config);
+  bool kill_in_handler = false;
+  t.register_endpoint("test.echo", [&](const Envelope& env) {
+    // Tears the connection after the request arrived: the 8 MiB reply's
+    // first chunks still go out on the accepted side before the dialed
+    // side's EOF surfaces, so the tear lands between chunks.
+    if (kill_in_handler) t.kill_connection();
+    return make_envelope(open_envelope<StoreIngest>(env));
+  });
+  // Request torn: the dialed side is shut before the first chunk.
+  const StoreIngest first = big_ingest(0x11);
+  t.kill_connection();
+  EXPECT_EQ(call<StoreIngest>(t, "test.echo", first).document,
+            first.document);
+  EXPECT_EQ(t.stats().reconnects, 1u);
+  // Reply torn mid-frame.
+  kill_in_handler = true;
+  const StoreIngest second = big_ingest(0x22);
+  EXPECT_EQ(call<StoreIngest>(t, "test.echo", second).document,
+            second.document);
+  const TransportStats stats = t.stats();
+  EXPECT_EQ(stats.reconnects, 2u);
+  EXPECT_EQ(stats.calls, 2u);
+  // Only delivered attempts count: a retransmission is not double-booked
+  // and no stray byte arrived alongside a frame.
+  EXPECT_GT(stats.bytes_sent, 4 * first.document.size());
+  EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
+  t.unregister_endpoint("test.echo");
+}
+
 TEST(SocketTransport, BindsEphemeralPortByDefault) {
   SocketTransport a;
   SocketTransport b;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -306,6 +307,98 @@ TEST_P(BarrierOracleTest, SamePassPreemptAndRedispatchStaysInFlight) {
   EXPECT_TRUE(gw.quiescent());
   EXPECT_EQ(gw.completed_unit_names(),
             (std::vector<std::string>{"c0", "v0", "c1"}));
+}
+
+TEST_P(BarrierOracleTest, PreemptedUnitOnDeadPilotIsRevivedOnlyByGateway) {
+  // The gateway parks a preempted unit at kFailed in its pending queue;
+  // the unit's pilot then dies before the gateway re-picks it. Recovery
+  // must leave it to the gateway: a second revival would run it to Done
+  // behind the gateway's back and strand its later dispatch in flight.
+  const common::ControlPlane plane = GetParam();
+  pilot::Session session;
+  const cluster::MachineProfile machine = cluster::generic_profile(4, 4);
+  session.register_machine(machine, hpc::SchedulerKind::kSlurm, 4);
+  hpc::BatchScheduler& batch =
+      *session.saga().resource(machine.name).scheduler;
+  common::RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.base_backoff = 5.0;
+  retry.max_backoff = 30.0;
+  retry.jitter = 0.0;
+  pilot::PilotManager pm(session);
+  pilot::UnitManager um(session);
+  um.set_control_plane(plane);
+  um.enable_recovery(retry);
+  pm.enable_recovery(retry,
+                     [&um](const std::shared_ptr<pilot::Pilot>& fresh,
+                           const std::shared_ptr<pilot::Pilot>&) {
+                       um.add_pilot(fresh);
+                     });
+  tenant::GatewayConfig gc;
+  gc.policy = tenant::SchedulingPolicy::kFairShare;
+  gc.dispatch_window = 1;
+  gc.preemption = true;
+  gc.preempt_ratio = 4.0;
+  tenant::SubmissionGateway gw(um, gc);
+  for (const char* id : {"claimant", "victim"}) {
+    tenant::TenantSpec spec;
+    spec.id = id;
+    gw.add_tenant(spec);
+  }
+  pilot::AgentConfig agent;
+  agent.spawn_latency = 0.01;
+  agent.control_plane = plane;
+  pilot::PilotDescription pd;
+  pd.resource = "slurm://" + machine.name + "/";
+  pd.nodes = 1;
+  pd.runtime = 24 * 3600.0;
+  for (int i = 0; i < 2; ++i) um.add_pilot(pm.submit_pilot(pd, agent));
+
+  const auto step_and_check = [&](double seconds) {
+    session.engine().run_until(session.engine().now() + seconds);
+    ASSERT_EQ(um.all_done(), scan_store(session, um).all_done);
+    check_gateway(session, um, gw);
+  };
+  const auto run_while = [&](const std::function<bool()>& busy) {
+    while (busy() && session.engine().now() < 7200.0) step_and_check(1.0);
+  };
+  const auto unit_named = [&](const std::string& name) {
+    for (const auto& [id, doc] : session.store().find_all("unit")) {
+      if (doc.at("description").at("name").as_string() == name) {
+        return um.find_unit(id);
+      }
+    }
+    return std::shared_ptr<pilot::ComputeUnit>();
+  };
+  // The victim's finished v0 leaves it usage that outlives the refund,
+  // so the claimant keeps winning the re-pick after the preemption.
+  gw.submit("victim", unit("v0", 20.0));
+  run_while([&] { return !gw.quiescent(); });
+  gw.submit("victim", unit("v1", 50.0));
+  step_and_check(0.0);
+  const auto v1 = unit_named("v1");
+  ASSERT_NE(v1, nullptr);
+  run_while([&] { return v1->state() != pilot::UnitState::kExecuting; });
+  // c0 outlasts v1's run time, so a revival by recovery would finish v1
+  // before the gateway re-picks it.
+  gw.submit("claimant", unit("c0", 60.0));
+  gw.submit("claimant", unit("c1", 60.0));
+  step_and_check(0.0);
+  ASSERT_EQ(gw.units_preempted(), 1u);
+  ASSERT_FALSE(gw.in_flight(v1->id()));  // parked in the gateway
+
+  const auto victim_pilot = um.pilot_by_id(v1->pilot_id());
+  batch.fail_node(victim_pilot->agent()->allocation().node_names().front());
+  ASSERT_EQ(victim_pilot->state(), pilot::PilotState::kFailed);
+  step_and_check(0.0);
+
+  run_while([&] { return !(um.all_done() && gw.quiescent()); });
+  EXPECT_TRUE(um.all_done());
+  EXPECT_TRUE(gw.quiescent());
+  EXPECT_EQ(v1->state(), pilot::UnitState::kDone);
+  std::vector<std::string> names = gw.completed_unit_names();
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"c0", "c1", "v0", "v1"}));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -120,7 +120,7 @@ invocation) they abort the run instead. Each experiment supports:
   transport (DESIGN.md s14) - data-plane message boundary:
     transport  "inprocess" | "socket"                  (default inprocess)
                socket routes every RM<->NM / agent / store / submit
-               message over loopback TCP (epoll reactor); digests are
+               message over loopback TCP (no I/O thread); digests are
                byte-identical to inprocess (CI socket-parity gate)
     net        socket knobs, ignored for inprocess:
                {"host": "127.0.0.1", "port": 0,        0 = ephemeral

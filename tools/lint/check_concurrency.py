@@ -57,13 +57,10 @@ import sys
 
 # Files allowed to touch the naked primitives: the wrapper itself.
 PRIMITIVE_ALLOWLIST = {"src/common/thread_annotations.h"}
-# Files allowed to construct std::thread: the pool, and the socket
-# transport's epoll reactor (one long-lived I/O thread, joined in stop).
+# Files allowed to construct std::thread: the pool alone.
 THREAD_ALLOWLIST = {
     "src/common/thread_pool.h",
     "src/common/thread_pool.cpp",
-    "src/net/socket_transport.h",
-    "src/net/socket_transport.cpp",
 }
 # Per-file budget of schedule_periodic call sites (rule 5). These are the
 # engine's own declaration/definition, the legacy poll control plane
